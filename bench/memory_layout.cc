@@ -18,7 +18,6 @@
 #include "core/replica_detector.h"
 #include "net/pcap.h"
 #include "net/pcap_mmap.h"
-#include "util/thread_pool.h"
 
 using namespace rloop;
 
@@ -80,20 +79,6 @@ void BM_DetectFlatWithStoreBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectFlatWithStoreBuild)->Unit(benchmark::kMillisecond);
 
-void BM_DetectFlatSharded(benchmark::State& state) {
-  const auto& store = bench_store();
-  const core::ReplicaDetector detector;
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto streams = detector.detect_sharded(
-        store, pool, static_cast<unsigned>(state.range(0)) * 4);
-    benchmark::DoNotOptimize(streams);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(store.size()));
-}
-BENCHMARK(BM_DetectFlatSharded)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
 // ---- RecordStore build (the columnize stage) ----
 
 void BM_RecordStoreBuild(benchmark::State& state) {
@@ -107,22 +92,6 @@ void BM_RecordStoreBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_RecordStoreBuild)->Unit(benchmark::kMillisecond);
-
-void BM_RecordStoreBuildParallel(benchmark::State& state) {
-  const auto& trace = bench_trace();
-  const auto& records = bench_records();
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto store = core::RecordStore::build_parallel(trace, records, pool);
-    benchmark::DoNotOptimize(store);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_RecordStoreBuildParallel)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 // ---- NonLoopedIndex: flat sorted array vs the old hash-map layout ----
 

@@ -1,6 +1,6 @@
-// The flat per-shard replica-detection engine, shared by the barrier-style
-// sharded path (ReplicaDetector::detect_sharded) and the staged dataflow
-// (core/pipeline.cc), which keeps one warm state per shard across runs.
+// The flat replica-detection engine behind ReplicaDetector::detect() and the
+// staged dataflow (core/pipeline.cc), which keeps one warm state per shard
+// across runs.
 //
 // Open streams live in one FlatMap keyed by ReplicaKey, replica lists in an
 // arena. One candidate stream per first-seen header means millions of tiny
@@ -134,12 +134,6 @@ static_assert(std::is_trivially_destructible_v<ReplicaChunk>,
 // points it at the current run's config/telemetry, reset() rewinds it for
 // the next run while keeping every backing allocation.
 struct FlatDetectState {
-  FlatDetectState() = default;
-  FlatDetectState(const ReplicaDetectorConfig& cfg, telemetry::Histogram* sp,
-                  telemetry::DecisionLog* jl) {
-    bind(cfg, sp, jl);
-  }
-
   void bind(const ReplicaDetectorConfig& cfg, telemetry::Histogram* sp,
             telemetry::DecisionLog* jl) {
     config = &cfg;

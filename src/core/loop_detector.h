@@ -22,19 +22,22 @@ struct LoopDetectorConfig {
   ReplicaDetectorConfig detector;
   ValidatorConfig validator;
   MergerConfig merger;
-  // Sharded multi-threaded execution. num_threads <= 1 (the default) is the
-  // original serial path; > 1 runs parse, detect, validate and merge on a
-  // ThreadPool, sharded by replica-key hash (detect) and /24 prefix
-  // (validate/merge). Results are field-identical to the serial path for
-  // every thread/shard count — see parallel.h for the argument and
+  // Multi-threaded execution. num_threads <= 1 (the default) is the serial
+  // path; > 1 runs the staged dataflow (core/pipeline.h): parse and detect
+  // overlap per epoch on a ThreadPool, sharded by replica-key hash, then
+  // validate and merge fan out over the same pool, sharded by /24 prefix.
+  // Results are field-identical to the serial path for every thread/shard
+  // count — see parallel.h for the argument and
   // tests/test_parallel_pipeline.cc for the proof harness.
   ParallelConfig parallel;
   // Optional metrics sink. When set, every stage records a wall-clock
-  // latency histogram (rloop_pipeline_stage_latency_ns{stage=...}), the
-  // sharded path additionally records per-shard latency
-  // (rloop_pipeline_shard_latency_ns{stage=...,shard=...}) and thread-pool
-  // queue depth, and the stage objects register their own counters; when
-  // null the pipeline runs with zero telemetry overhead.
+  // latency histogram (rloop_pipeline_stage_latency_ns{stage=...}); the
+  // parallel path additionally records per-shard latency
+  // (rloop_pipeline_shard_latency_ns{stage=...,shard=...}), stage busy/idle
+  // time and thread-pool queue depth and task counts; and the stage objects
+  // register their own counters. The registry need only outlive the call,
+  // even when a workspace is reused. When null the pipeline runs with zero
+  // telemetry overhead.
   telemetry::Registry* registry = nullptr;
   // Optional span sink: a root "detect_loops" span, one span per stage
   // (parse/columnize/detect/validate/merge), and one span per parallel_for
@@ -75,7 +78,8 @@ struct LoopDetectionResult {
   std::uint64_t looped_unique_packets() const { return valid_streams.size(); }
 };
 
-// Runs parse -> detect -> validate -> merge on `trace`.
+// Runs parse -> detect -> validate -> merge on `trace`. Defined in
+// core/pipeline.cc, next to the staged dataflow it dispatches to.
 LoopDetectionResult detect_loops(const net::Trace& trace,
                                  const LoopDetectorConfig& config = {});
 

@@ -15,8 +15,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "net/prefix.h"
+#include "telemetry/registry.h"
 
 namespace rloop::core {
 
@@ -55,6 +58,23 @@ inline unsigned shard_of_prefix(const net::Prefix& prefix,
   const auto packed =
       (static_cast<std::uint64_t>(prefix.addr.value) << 8) | prefix.len;
   return static_cast<unsigned>(mix64(packed) % num_shards);
+}
+
+// Resolves one rloop_pipeline_shard_latency_ns{stage, shard} histogram per
+// shard into `out` (all null without a registry). The sharded detect,
+// validate and merge stages each time their shards through this, so the
+// family is named once.
+inline void shard_latency_histograms(telemetry::Registry* registry,
+                                     const char* stage, unsigned num_shards,
+                                     std::vector<telemetry::Histogram*>& out) {
+  out.assign(num_shards, nullptr);
+  for (unsigned s = 0; s < num_shards; ++s) {
+    out[s] = telemetry::get_histogram(
+        registry, "rloop_pipeline_shard_latency_ns",
+        telemetry::latency_bounds_ns(),
+        {{"stage", stage}, {"shard", std::to_string(s)}},
+        "Wall-clock latency of one pipeline shard per sharded call");
+  }
 }
 
 }  // namespace rloop::core

@@ -6,11 +6,11 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/detect_state.h"
+#include "core/parallel.h"
 #include "core/record_store.h"
 #include "core/replica_key.h"
 #include "core/stream_merger.h"
@@ -42,6 +42,19 @@ telemetry::Histogram* stage_histogram(telemetry::Registry* registry,
       "Wall-clock latency of one detection-pipeline stage per call");
 }
 
+// Tallies result.parse_failures from result.records and adds it to the
+// registry's parse-failure counter.
+void count_parse_failures(telemetry::Registry* registry,
+                          LoopDetectionResult& result) {
+  for (const auto& rec : result.records) {
+    if (!rec.ok) ++result.parse_failures;
+  }
+  telemetry::inc(telemetry::get_counter(
+                     registry, "rloop_pipeline_parse_failures_total", {},
+                     "Trace records whose IP header failed to parse"),
+                 result.parse_failures);
+}
+
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -69,14 +82,29 @@ struct Lane {
   std::array<std::unique_ptr<EpochBatch>, kRingDepth> storage;
 };
 
+// Attaches a call's telemetry sinks to the workspace pool and detaches them
+// on every exit, exceptions included: the workspace outlives the call, and
+// the next call's registry may be a different object at the same address.
+class ScopedPoolTelemetry {
+ public:
+  ScopedPoolTelemetry(util::ThreadPool& pool, telemetry::Registry* registry,
+                      telemetry::TraceSink* trace)
+      : pool_(pool) {
+    pool_.set_telemetry(registry, trace);
+  }
+  ~ScopedPoolTelemetry() { pool_.set_telemetry(nullptr, nullptr); }
+  ScopedPoolTelemetry(const ScopedPoolTelemetry&) = delete;
+  ScopedPoolTelemetry& operator=(const ScopedPoolTelemetry&) = delete;
+
+ private:
+  util::ThreadPool& pool_;
+};
+
 }  // namespace
 
 struct PipelineWorkspace::Impl {
-  // Pool identity: the pool is rebuilt only when the thread count or the
-  // telemetry sinks change (they are baked into the workers at construction).
-  unsigned pool_threads = 0;
-  telemetry::Registry* pool_registry = nullptr;
-  telemetry::TraceSink* pool_trace = nullptr;
+  // Rebuilt only when the thread count changes. It holds no telemetry
+  // between calls (see ScopedPoolTelemetry).
   std::unique_ptr<util::ThreadPool> pool;
 
   RecordStore store;
@@ -106,15 +134,11 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
   const unsigned num_shards = config.parallel.num_shards();
   const std::size_t n = trace.size();
 
-  if (!ws.pool || ws.pool_threads != num_threads ||
-      ws.pool_registry != reg || ws.pool_trace != config.trace) {
+  if (!ws.pool || ws.pool->size() != num_threads) {
     ws.pool.reset();
-    ws.pool =
-        std::make_unique<util::ThreadPool>(num_threads, reg, config.trace);
-    ws.pool_threads = num_threads;
-    ws.pool_registry = reg;
-    ws.pool_trace = config.trace;
+    ws.pool = std::make_unique<util::ThreadPool>(num_threads);
   }
+  const ScopedPoolTelemetry pool_telemetry(*ws.pool, reg, config.trace);
 
   LoopDetectionResult result;
   const telemetry::ScopedSpan root_span(config.trace, "detect_loops");
@@ -146,25 +170,15 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     }
     ws.claimed.assign(num_workers, nullptr);
 
+    const ReplicaDetector detector(config.detector, reg, config.journal);
     ws.states.resize(num_shards);
-    telemetry::Histogram* spacing = telemetry::get_histogram(
-        reg, "rloop_detector_replica_spacing_ns",
-        telemetry::spacing_bounds_ns(), {},
-        "Spacing between successive replicas of one stream");
     for (auto& state : ws.states) {
       if (!state) state = std::make_unique<detail::FlatDetectState>();
-      state->bind(config.detector, spacing, config.journal);
+      detector.bind(*state);
       state->reset();
     }
     ws.shard_streams.resize(num_shards);
-    ws.detect_shard_hist.assign(num_shards, nullptr);
-    for (unsigned s = 0; s < num_shards; ++s) {
-      ws.detect_shard_hist[s] = telemetry::get_histogram(
-          reg, "rloop_pipeline_shard_latency_ns",
-          telemetry::latency_bounds_ns(),
-          {{"stage", "detect"}, {"shard", std::to_string(s)}},
-          "Wall-clock latency of one pipeline shard per sharded call");
-    }
+    shard_latency_histograms(reg, "detect", num_shards, ws.detect_shard_hist);
 
     // Stage-occupancy counters: busy is time spent hashing / partitioning
     // (driver) or parsing / detecting (workers); idle is time blocked on the
@@ -318,41 +332,11 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     }
     detail::sort_streams(result.raw_streams);
 
-    telemetry::inc(
-        telemetry::get_counter(reg, "rloop_detector_records_total", {},
-                               "Parsed records scanned by the replica "
-                               "detector"),
-        counts.records);
-    telemetry::inc(
-        telemetry::get_counter(
-            reg, "rloop_detector_replicas_matched_total", {},
-            "Observations matched into an existing replica stream"),
-        counts.replicas);
-    telemetry::inc(
-        telemetry::get_counter(
-            reg, "rloop_detector_streams_opened_total", {},
-            "Candidate streams opened (one per first-seen header)"),
-        counts.opened);
-    telemetry::inc(
-        telemetry::get_counter(
-            reg, "rloop_detector_streams_expired_total", {},
-            "Candidate streams closed by the stream timeout"),
-        counts.expired);
-    telemetry::inc(
-        telemetry::get_counter(
-            reg, "rloop_detector_streams_emitted_total", {},
-            "Closed streams with >= 2 replicas handed to validation"),
-        counts.emitted);
+    detector.publish(counts);
   }
 
   result.total_records = n;
-  for (const auto& rec : result.records) {
-    if (!rec.ok) ++result.parse_failures;
-  }
-  telemetry::inc(telemetry::get_counter(
-                     reg, "rloop_pipeline_parse_failures_total", {},
-                     "Trace records whose IP header failed to parse"),
-                 result.parse_failures);
+  count_parse_failures(reg, result);
 
   {
     const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
@@ -369,6 +353,69 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     result.loops =
         merger.merge_sharded(ws.store, result.valid_streams, *ws.pool,
                              num_shards, ws.merger_scratch);
+  }
+  return result;
+}
+
+std::uint64_t LoopDetectionResult::looped_packet_records() const {
+  std::uint64_t total = 0;
+  for (const auto& stream : valid_streams) {
+    total += stream.size();
+  }
+  return total;
+}
+
+LoopDetectionResult detect_loops(const net::Trace& trace,
+                                 const LoopDetectorConfig& config) {
+  if (config.parallel.enabled()) {
+    // A caller-provided workspace carries warm state across calls; without
+    // one the workspace lives for this call.
+    if (config.workspace != nullptr) {
+      return detect_loops_pipelined(trace, config, *config.workspace);
+    }
+    PipelineWorkspace workspace;
+    return detect_loops_pipelined(trace, config, workspace);
+  }
+
+  telemetry::Registry* reg = config.registry;
+  LoopDetectionResult result;
+  const telemetry::ScopedSpan root_span(config.trace, "detect_loops");
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "parse"));
+    const telemetry::ScopedSpan span(config.trace, "parse");
+    result.records = parse_trace(trace);
+    result.total_records = result.records.size();
+    count_parse_failures(reg, result);
+  }
+
+  // Columnize: transpose the parsed records into the SoA RecordStore the
+  // detect/validate/merge scans run on, and compute the replica-key hash
+  // column (once per record, reused by every later stage).
+  RecordStore store;
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "columnize"));
+    const telemetry::ScopedSpan span(config.trace, "columnize");
+    store = RecordStore::build(trace, result.records);
+  }
+
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "detect"));
+    const telemetry::ScopedSpan span(config.trace, "detect");
+    const ReplicaDetector detector(config.detector, reg, config.journal);
+    result.raw_streams = detector.detect(store);
+  }
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
+    const telemetry::ScopedSpan span(config.trace, "validate");
+    const StreamValidator validator(config.validator, reg, config.journal);
+    result.valid_streams =
+        validator.validate(store, result.raw_streams, &result.validation);
+  }
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "merge"));
+    const telemetry::ScopedSpan span(config.trace, "merge");
+    const StreamMerger merger(config.merger, reg, config.journal);
+    result.loops = merger.merge(store, result.valid_streams);
   }
   return result;
 }

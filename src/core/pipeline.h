@@ -1,11 +1,15 @@
-// Staged, epoch-overlapped dataflow for the offline detection pipeline.
+// The offline detection pipeline: detect_loops() (declared in
+// loop_detector.h) and its one parallel path, the staged, epoch-overlapped
+// dataflow below. Both live in pipeline.cc, which also names the
+// rloop_pipeline_stage_latency_ns and rloop_pipeline_parse_failures_total
+// families they record.
 //
-// The barrier-style parallel path in loop_detector.cc runs parse, columnize
-// and detect as separate pool-wide stages with a full join between each; on
-// traces where parse and hash dominate, the joins leave workers idle for
-// most of the wall clock. The staged front here fuses ingest -> parse ->
-// columnize -> shard-detect into one pass over the trace, pipelined by
-// epoch:
+// The serial path runs parse, columnize, detect, validate and merge one
+// after another. A barrier-style parallel version of that sequence would
+// join the pool between stages; on traces where parse and hash dominate,
+// the joins leave workers idle for most of the wall clock. The staged front
+// here instead fuses ingest -> parse -> columnize -> shard-detect into one
+// pass over the trace, pipelined by epoch:
 //
 //   driver (body 0)            workers (bodies 1..W)
 //   ------------------         -------------------------------------------
@@ -26,16 +30,18 @@
 //    FlatDetectState sees exactly the record sequence the serial detector
 //    feeds it, and the concatenate + sort merge reproduces the serial
 //    stream order (same argument as parallel.h).
-// Validate and merge remain pool-wide sharded stages after the front — they
-// need the full raw-stream set — but run on workspace-owned scratch so a
-// warm run allocates nothing in either stage.
+// Validate and merge each run as one sharded fan-out after the front — they
+// need the full raw-stream set — on workspace-owned scratch, so a warm run
+// allocates nothing in either stage.
 //
 // PipelineWorkspace owns everything reusable across runs: the thread pool,
 // the SoA store, the hash/shard scratch columns, the per-worker batch rings,
 // one warm FlatDetectState per shard (arena + open-table capacity persist),
-// and the validator/merger scratch. bench/bench_to_json.cc keeps one
-// workspace across repetitions to pin the steady-state allocation rate;
-// detect_loops() creates a transient one when the config carries none.
+// and the validator/merger scratch. It holds no telemetry between runs: the
+// pool is attached to each run's registry and span sink for that run only.
+// bench/bench_to_json.cc keeps one workspace across repetitions to pin the
+// steady-state allocation rate; detect_loops() creates a transient one when
+// the config carries none.
 #pragma once
 
 #include <memory>

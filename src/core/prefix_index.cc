@@ -65,27 +65,9 @@ NonLoopedIndex::NonLoopedIndex(const std::vector<ParsedRecord>& records,
   seal();
 }
 
-NonLoopedIndex::NonLoopedIndex(const std::vector<ParsedRecord>& records,
-                               const std::vector<bool>& is_member,
-                               unsigned shard, unsigned num_shards) {
-  for (const ParsedRecord& rec : records) {
-    if (!rec.ok) continue;
-    if (is_member[rec.index]) continue;
-    if (shard_of_prefix(rec.dst24, num_shards) != shard) continue;
-    entries_.push_back({pack(rec.dst24), rec.ts});
-  }
-  seal();
-}
-
 NonLoopedIndex::NonLoopedIndex(const RecordStore& store,
                                const std::vector<bool>& is_member) {
   rebuild(store, is_member);
-}
-
-NonLoopedIndex::NonLoopedIndex(const RecordStore& store,
-                               const std::vector<bool>& is_member,
-                               unsigned shard, unsigned num_shards) {
-  rebuild(store, is_member, shard, num_shards);
 }
 
 void NonLoopedIndex::rebuild(const RecordStore& store,

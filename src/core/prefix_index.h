@@ -38,24 +38,19 @@ class NonLoopedIndex {
   NonLoopedIndex(const std::vector<ParsedRecord>& records,
                  const std::vector<bool>& is_member);
 
-  // As above, restricted to records whose dst24 lands in `shard` of
-  // `num_shards` (core::shard_of_prefix). The parallel validator and merger
-  // only ever query a stream's own prefix, so the shard that owns the prefix
-  // answers exactly as the global index would.
-  NonLoopedIndex(const std::vector<ParsedRecord>& records,
-                 const std::vector<bool>& is_member, unsigned shard,
-                 unsigned num_shards);
-
-  // Columnized equivalents: same index, built from the SoA store's dst24 /
+  // Columnized equivalent: same index, built from the SoA store's dst24 /
   // ts / ok columns (no ParsedRecord traversal).
   NonLoopedIndex(const RecordStore& store, const std::vector<bool>& is_member);
-  NonLoopedIndex(const RecordStore& store, const std::vector<bool>& is_member,
-                 unsigned shard, unsigned num_shards);
 
-  // In-place equivalents of the store constructors: identical entries and
+  // In-place equivalent of the store constructor: identical entries and
   // order, but the entry vector and the radix-sort scratch keep their
   // capacity from the previous build, so a warm rebuild allocates nothing.
   void rebuild(const RecordStore& store, const std::vector<bool>& is_member);
+
+  // As above, restricted to records whose dst24 lands in `shard` of
+  // `num_shards` (core::shard_of_prefix). The sharded validator and merger
+  // only ever query a stream's own prefix, so the shard that owns the prefix
+  // answers exactly as the global index would.
   void rebuild(const RecordStore& store, const std::vector<bool>& is_member,
                unsigned shard, unsigned num_shards);
 

@@ -1,7 +1,5 @@
 #include "core/record.h"
 
-#include <algorithm>
-
 namespace rloop::core {
 
 ParsedRecord parse_record(const net::Trace& trace, std::size_t i) {
@@ -25,26 +23,6 @@ std::vector<ParsedRecord> parse_trace(const net::Trace& trace) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     records.push_back(parse_record(trace, i));
   }
-  return records;
-}
-
-std::vector<ParsedRecord> parse_trace_parallel(const net::Trace& trace,
-                                               util::ThreadPool& pool,
-                                               std::size_t chunk) {
-  const std::size_t n = trace.size();
-  if (chunk == 0) {
-    // ~4 tasks per worker so an unlucky chunk doesn't serialize the tail.
-    chunk = std::max<std::size_t>(1, n / (4 * pool.size() + 1));
-  }
-  std::vector<ParsedRecord> records(n);
-  const std::size_t tasks = (n + chunk - 1) / chunk;
-  pool.parallel_for(tasks, [&](std::size_t t) {
-    const std::size_t lo = t * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      records[i] = parse_record(trace, i);
-    }
-  }, "parse_chunk");
   return records;
 }
 

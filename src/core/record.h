@@ -12,7 +12,6 @@
 #include "net/prefix.h"
 #include "net/time.h"
 #include "net/trace.h"
-#include "util/thread_pool.h"
 
 namespace rloop::core {
 
@@ -28,22 +27,12 @@ struct ParsedRecord {
 
 // Parses trace record `i` in isolation. Records parse independently (framing
 // happened at capture/pcap-read time), so any partition of indices across
-// workers — parse_trace_parallel's fixed chunks or the staged dataflow's
-// shard batches — reproduces parse_trace() exactly, record for record.
+// workers — the staged dataflow's shard batches — reproduces parse_trace()
+// exactly, record for record.
 ParsedRecord parse_record(const net::Trace& trace, std::size_t i);
 
 // Parses every record. Records whose IP header is malformed keep ok=false
 // and are skipped by all detector stages (but still counted).
 std::vector<ParsedRecord> parse_trace(const net::Trace& trace);
-
-// parse_trace split into fixed index chunks run on `pool`. The trace is
-// already framed into records (framing happened at capture/pcap-read time),
-// so chunk boundaries need no fix-up: every record parses independently and
-// writes only its own slot, making the output bytewise identical to
-// parse_trace() for any chunk size. `chunk` is records per task; 0 picks a
-// size that gives each worker several tasks for load balance.
-std::vector<ParsedRecord> parse_trace_parallel(const net::Trace& trace,
-                                               util::ThreadPool& pool,
-                                               std::size_t chunk = 0);
 
 }  // namespace rloop::core

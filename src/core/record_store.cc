@@ -1,7 +1,5 @@
 #include "core/record_store.h"
 
-#include <algorithm>
-
 #include "core/replica_key.h"
 #include "util/simd.h"
 
@@ -17,8 +15,8 @@ void RecordStore::prepare(const net::Trace& trace, std::size_t n) {
   key_hash_.resize(n);
 }
 
-RecordStore RecordStore::columnize(const net::Trace& trace,
-                                   const std::vector<ParsedRecord>& records) {
+RecordStore RecordStore::build(const net::Trace& trace,
+                               const std::vector<ParsedRecord>& records) {
   RecordStore store;
   store.trace_ = &trace;
   const std::size_t n = records.size();
@@ -38,45 +36,17 @@ RecordStore RecordStore::columnize(const net::Trace& trace,
   // dst24 extraction is one vectorized mask pass over the dst column: a
   // parsed record's dst24 is Prefix::slash24(dst), i.e. dst with the low
   // byte cleared. Records that failed to parse then get their (default
-  // prefix) value restored scalar, preserving build()'s exact bytes; the
+  // prefix) value restored scalar, matching set_row()'s bytes; the
   // scan is branch-predictable because parse failures are rare.
   util::simd::mask_lo8_zero(store.dst_.data(), store.dst24_.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     if (store.ok_[i] == 0) store.dst24_[i] = records[i].dst24.addr.value;
   }
-  return store;
-}
-
-RecordStore RecordStore::build(const net::Trace& trace,
-                               const std::vector<ParsedRecord>& records) {
-  RecordStore store = columnize(trace, records);
-  for (std::size_t i = 0; i < records.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (store.ok_[i] != 0) {
       store.key_hash_[i] = replica_key_hash(trace[i].bytes());
     }
   }
-  return store;
-}
-
-RecordStore RecordStore::build_parallel(const net::Trace& trace,
-                                        const std::vector<ParsedRecord>& records,
-                                        util::ThreadPool& pool,
-                                        std::size_t chunk) {
-  RecordStore store = columnize(trace, records);
-  const std::size_t n = records.size();
-  if (chunk == 0) {
-    chunk = std::max<std::size_t>(1, n / (4 * pool.size() + 1));
-  }
-  const std::size_t tasks = (n + chunk - 1) / chunk;
-  pool.parallel_for(tasks, [&](std::size_t t) {
-    const std::size_t lo = t * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (store.ok_[i] != 0) {
-        store.key_hash_[i] = replica_key_hash(trace[i].bytes());
-      }
-    }
-  }, "hash_chunk");
   return store;
 }
 

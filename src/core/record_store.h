@@ -13,17 +13,17 @@
 //   ok        uint8   1 when the IP header parsed
 //   key_hash  uint64  replica_key_hash over the captured bytes (0 when !ok)
 //
-// The key-hash column is computed once at build time — the serial and
-// sharded detectors both consume it, so FNV runs exactly once per record on
-// every path. The store also keeps a pointer to the source trace: replica
-// keys are still materialized from the raw captured bytes (byte-precise
-// equality, no false merges), and `bytes(i)` hands those out. The trace must
-// therefore outlive the store.
+// The key-hash column is computed once per record — by build() on the serial
+// path, by the staged dataflow's driver on the parallel one — and every
+// later stage reuses it, so FNV runs exactly once per record on every path.
+// The store also keeps a pointer to the source trace: replica keys are still
+// materialized from the raw captured bytes (byte-precise equality, no false
+// merges), and `bytes(i)` hands those out. The trace must therefore outlive
+// the store.
 //
 // ParsedRecord remains the public API of parse results; the store is built
-// from (trace, records) by the pipeline's columnize stage and is bytewise
-// deterministic: build() and build_parallel() produce identical columns for
-// any pool size (each record writes only its own row).
+// from (trace, records) by the serial pipeline's columnize stage, or row by
+// row (prepare + set_row) by the staged dataflow, with identical columns.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 #include "net/prefix.h"
 #include "net/time.h"
 #include "net/trace.h"
-#include "util/thread_pool.h"
 
 namespace rloop::core {
 
@@ -46,14 +45,6 @@ class RecordStore {
   // pointer to `trace` for bytes().
   static RecordStore build(const net::Trace& trace,
                            const std::vector<ParsedRecord>& records);
-
-  // build() with the key-hash column computed in parallel chunks on `pool`
-  // (span name "hash_chunk" — hashing is the dominant cost of the build).
-  // Output is bytewise identical to build() for any pool size.
-  static RecordStore build_parallel(const net::Trace& trace,
-                                    const std::vector<ParsedRecord>& records,
-                                    util::ThreadPool& pool,
-                                    std::size_t chunk = 0);
 
   // Staged-dataflow support (core/pipeline.cc): sizes every column for `n`
   // records of `trace` without filling them; rows are then written by
@@ -104,11 +95,6 @@ class RecordStore {
   const std::vector<net::TimeNs>& ts_column() const { return ts_; }
 
  private:
-  // Fills every column except key_hash in one pass; hashing (the dominant
-  // build cost) is layered on top serially or in parallel chunks.
-  static RecordStore columnize(const net::Trace& trace,
-                               const std::vector<ParsedRecord>& records);
-
   const net::Trace* trace_ = nullptr;
   std::vector<net::TimeNs> ts_;
   std::vector<std::uint32_t> dst_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <string>
 #include <unordered_map>
 
 #include "core/detect_state.h"
@@ -68,7 +67,6 @@ ReplicaDetector::ReplicaDetector(ReplicaDetectorConfig config,
                                  telemetry::Registry* registry,
                                  telemetry::DecisionLog* journal)
     : config_(config),
-      registry_(registry),
       journal_(journal),
       m_records_(telemetry::get_counter(
           registry, "rloop_detector_records_total", {},
@@ -94,6 +92,18 @@ ReplicaDetector::ReplicaDetector(ReplicaDetectorConfig config,
 // core/detect_state.h: the staged dataflow in core/pipeline.cc keeps one
 // warm state per shard across runs, so it needs the type, not just the
 // detect() entry points below.
+
+void ReplicaDetector::bind(FlatDetectState& state) const {
+  state.bind(config_, m_spacing_, journal_);
+}
+
+void ReplicaDetector::publish(const LocalCounts& counts) const {
+  telemetry::inc(m_records_, counts.records);
+  telemetry::inc(m_replicas_, counts.replicas);
+  telemetry::inc(m_streams_opened_, counts.opened);
+  telemetry::inc(m_streams_expired_, counts.expired);
+  telemetry::inc(m_streams_emitted_, counts.emitted);
+}
 
 namespace {
 
@@ -236,7 +246,8 @@ struct DetectState {
 
 std::vector<ReplicaStream> ReplicaDetector::detect(
     const RecordStore& store) const {
-  FlatDetectState state(config_, m_spacing_, journal_);
+  FlatDetectState state;
+  bind(state);
   const std::size_t n = store.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (!store.ok(i)) continue;
@@ -244,113 +255,13 @@ std::vector<ReplicaStream> ReplicaDetector::detect(
                   make_replica_key(store.bytes(i), store.key_hash(i)));
   }
   auto closed = state.finish();
-
-  telemetry::inc(m_records_, state.counts.records);
-  telemetry::inc(m_replicas_, state.counts.replicas);
-  telemetry::inc(m_streams_opened_, state.counts.opened);
-  telemetry::inc(m_streams_expired_, state.counts.expired);
-  telemetry::inc(m_streams_emitted_, state.counts.emitted);
+  publish(state.counts);
   return closed;
 }
 
 std::vector<ReplicaStream> ReplicaDetector::detect(
     const net::Trace& trace, const std::vector<ParsedRecord>& records) const {
   return detect(RecordStore::build(trace, records));
-}
-
-std::vector<ReplicaStream> ReplicaDetector::detect_sharded(
-    const RecordStore& store, util::ThreadPool& pool,
-    unsigned num_shards) const {
-  if (num_shards < 2) return detect(store);
-  const std::size_t n = store.size();
-
-  // Shard assignment is one vectorized pass over the hash column (shard
-  // counts are powers of two from ParallelConfig, so the modulo is a mask;
-  // the scalar fallback covers a caller-supplied odd count). !ok rows get a
-  // shard computed from their zero hash, harmless: both passes below skip
-  // them.
-  std::vector<std::uint32_t> shard_ids(n);
-  if (n > 0) {
-    if ((num_shards & (num_shards - 1)) == 0) {
-      util::simd::mix64_mask(store.key_hash_column().data(), shard_ids.data(),
-                             n, num_shards - 1);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        shard_ids[i] = shard_of_key_hash(store.key_hash(i), num_shards);
-      }
-    }
-  }
-
-  // Per-shard record-index lists, in trace (= time) order, sized exactly:
-  // one counting pass, then one reserve per shard.
-  std::vector<std::uint32_t> shard_size(num_shards, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!store.ok(i)) continue;
-    ++shard_size[shard_ids[i]];
-  }
-  std::vector<std::vector<std::uint32_t>> shard_records(num_shards);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    shard_records[s].reserve(shard_size[s]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!store.ok(i)) continue;
-    shard_records[shard_ids[i]].push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Parallel over shards: the serial state machine per shard, fed exactly
-  // the records whose key hashes to it.
-  std::vector<telemetry::Histogram*> shard_latency(num_shards, nullptr);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    shard_latency[s] = telemetry::get_histogram(
-        registry_, "rloop_pipeline_shard_latency_ns",
-        telemetry::latency_bounds_ns(),
-        {{"stage", "detect"}, {"shard", std::to_string(s)}},
-        "Wall-clock latency of one pipeline shard per sharded call");
-  }
-  std::vector<std::vector<ReplicaStream>> shard_closed(num_shards);
-  std::vector<LocalCounts> shard_counts(num_shards);
-  pool.parallel_for(num_shards, [&](std::size_t s) {
-    const telemetry::ScopedTimer timer(shard_latency[s]);
-    FlatDetectState state(config_, m_spacing_, journal_);
-    for (const std::uint32_t i : shard_records[s]) {
-      // Reuse the store's hash: per-shard key construction is a masked copy.
-      state.process(store, i,
-                    make_replica_key(store.bytes(i), store.key_hash(i)));
-    }
-    shard_closed[s] = state.finish();
-    shard_counts[s] = state.counts;
-  }, "detect_shard");
-
-  // Merge: concatenate and restore the canonical (start, first record index)
-  // total order — identical to the serial sort because the comparator is a
-  // strict total order over streams.
-  LocalCounts counts;
-  std::size_t total_streams = 0;
-  for (unsigned s = 0; s < num_shards; ++s) {
-    counts.add(shard_counts[s]);
-    total_streams += shard_closed[s].size();
-  }
-  std::vector<ReplicaStream> closed;
-  closed.reserve(total_streams);
-  for (auto& shard : shard_closed) {
-    std::move(shard.begin(), shard.end(), std::back_inserter(closed));
-  }
-  sort_streams(closed);
-
-  telemetry::inc(m_records_, counts.records);
-  telemetry::inc(m_replicas_, counts.replicas);
-  telemetry::inc(m_streams_opened_, counts.opened);
-  telemetry::inc(m_streams_expired_, counts.expired);
-  telemetry::inc(m_streams_emitted_, counts.emitted);
-  return closed;
-}
-
-std::vector<ReplicaStream> ReplicaDetector::detect_sharded(
-    const net::Trace& trace, const std::vector<ParsedRecord>& records,
-    util::ThreadPool& pool, unsigned num_shards) const {
-  if (num_shards < 2) return detect(trace, records);
-  return detect_sharded(RecordStore::build_parallel(trace, records, pool),
-                        pool, num_shards);
 }
 
 std::vector<ReplicaStream> ReplicaDetector::detect_reference(
@@ -361,12 +272,7 @@ std::vector<ReplicaStream> ReplicaDetector::detect_reference(
     state.process(rec, make_replica_key(trace[rec.index].bytes()));
   }
   auto closed = state.finish();
-
-  telemetry::inc(m_records_, state.counts.records);
-  telemetry::inc(m_replicas_, state.counts.replicas);
-  telemetry::inc(m_streams_opened_, state.counts.opened);
-  telemetry::inc(m_streams_expired_, state.counts.expired);
-  telemetry::inc(m_streams_emitted_, state.counts.emitted);
+  publish(state.counts);
   return closed;
 }
 

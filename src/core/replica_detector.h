@@ -15,16 +15,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/record.h"
 #include "core/record_store.h"
 #include "core/replica_key.h"
 #include "net/time.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
-#include "util/thread_pool.h"
 
 namespace rloop::core {
+
+namespace detail {
+struct FlatDetectState;  // core/detect_state.h
+struct LocalCounts;
+}  // namespace detail
 
 struct Replica {
   std::uint32_t record_index = 0;
@@ -90,24 +93,13 @@ class ReplicaDetector {
       const net::Trace& trace,
       const std::vector<ParsedRecord>& records) const;
 
-  // Sharded detect(): partitions records by hash(ReplicaKey) % num_shards —
-  // every observation of one normalized header lands in one shard, in trace
-  // order, so per-shard streams are exactly the serial streams — runs the
-  // shards on `pool`, and merges by the same (start time, first record
-  // index) total order the serial path sorts by. The store's key-hash
-  // column drives both shard assignment and per-shard key construction, so
-  // FNV runs exactly once per record. Output is field-identical to detect()
-  // for any (pool size, num_shards); the streams-expired counter alone may
-  // differ, because the periodic table sweep (a memory bound, not an
-  // algorithm step) fires per shard.
-  std::vector<ReplicaStream> detect_sharded(const RecordStore& store,
-                                            util::ThreadPool& pool,
-                                            unsigned num_shards) const;
-
-  // Convenience wrapper: columnizes on `pool` and runs detect_sharded().
-  std::vector<ReplicaStream> detect_sharded(
-      const net::Trace& trace, const std::vector<ParsedRecord>& records,
-      util::ThreadPool& pool, unsigned num_shards) const;
+  // Staged-dataflow hooks: core/pipeline.cc keeps one warm flat state per
+  // shard across runs, so it cannot call detect(). bind() points a state at
+  // this detector's config, spacing histogram and journal; publish() adds a
+  // run's counts to this detector's counters. detect() is bind, process,
+  // finish and publish on one state.
+  void bind(detail::FlatDetectState& state) const;
+  void publish(const detail::LocalCounts& counts) const;
 
   // The pre-flat-map engine (std::unordered_map of std::vector streams),
   // retained verbatim as the differential oracle: detect() must produce
@@ -119,7 +111,6 @@ class ReplicaDetector {
 
  private:
   ReplicaDetectorConfig config_;
-  telemetry::Registry* registry_ = nullptr;
   telemetry::DecisionLog* journal_ = nullptr;
   telemetry::Counter* m_records_ = nullptr;
   telemetry::Counter* m_replicas_ = nullptr;

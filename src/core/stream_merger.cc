@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
-#include <string>
+
+#include "core/parallel.h"
 
 namespace rloop::core {
 
@@ -213,102 +213,38 @@ std::vector<RoutingLoop> StreamMerger::merge_with_index(
 }
 
 std::vector<RoutingLoop> StreamMerger::merge_sharded(
-    const std::vector<ParsedRecord>& records,
-    const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-    unsigned num_shards) const {
-  if (num_shards < 2) return merge(records, valid_streams);
-  auto member = std::make_shared<const std::vector<bool>>(
-      stream_membership(records.size(), valid_streams));
-  return merge_sharded_impl(
-      [&records, member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out = NonLoopedIndex(records, *member, s, num_shards);
-      },
-      valid_streams, pool, num_shards, nullptr);
-}
-
-std::vector<RoutingLoop> StreamMerger::merge_sharded(
-    const RecordStore& store,
-    const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-    unsigned num_shards) const {
-  if (num_shards < 2) return merge(store, valid_streams);
-  auto member = std::make_shared<const std::vector<bool>>(
-      stream_membership(store.size(), valid_streams));
-  return merge_sharded_impl(
-      [&store, member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out = NonLoopedIndex(store, *member, s, num_shards);
-      },
-      valid_streams, pool, num_shards, nullptr);
-}
-
-std::vector<RoutingLoop> StreamMerger::merge_sharded(
     const RecordStore& store,
     const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
     unsigned num_shards, MergerScratch& scratch) const {
+  stream_membership(store.size(), valid_streams, scratch.membership);
   if (num_shards < 2) {
-    stream_membership(store.size(), valid_streams, scratch.membership);
     scratch.shard_indexes.resize(1);
     scratch.shard_indexes[0].rebuild(store, scratch.membership);
     return merge_with_index(scratch.shard_indexes[0], valid_streams);
   }
-  stream_membership(store.size(), valid_streams, scratch.membership);
-  const std::vector<bool>& member = scratch.membership;
-  return merge_sharded_impl(
-      [&store, &member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out.rebuild(store, member, s, num_shards);
-      },
-      valid_streams, pool, num_shards, &scratch);
-}
-
-std::vector<RoutingLoop> StreamMerger::merge_sharded_impl(
-    const std::function<void(unsigned, NonLoopedIndex&)>& build_shard,
-    const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-    unsigned num_shards, MergerScratch* scratch) const {
-  std::vector<telemetry::Histogram*> local_latency;
-  std::vector<telemetry::Histogram*>& shard_latency =
-      scratch ? scratch->shard_latency : local_latency;
-  shard_latency.assign(num_shards, nullptr);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    shard_latency[s] = telemetry::get_histogram(
-        registry_, "rloop_pipeline_shard_latency_ns",
-        telemetry::latency_bounds_ns(),
-        {{"stage", "merge"}, {"shard", std::to_string(s)}},
-        "Wall-clock latency of one pipeline shard per sharded call");
-  }
-
-  std::vector<std::vector<RoutingLoop>> local_loops;
-  std::vector<std::vector<RoutingLoop>>& shard_loops =
-      scratch ? scratch->shard_loops : local_loops;
+  shard_latency_histograms(registry_, "merge", num_shards,
+                           scratch.shard_latency);
+  auto& shard_loops = scratch.shard_loops;
   shard_loops.resize(num_shards);
   for (auto& v : shard_loops) v.clear();
-  std::vector<std::uint64_t> local_merges;
-  std::vector<std::uint64_t>& shard_merges =
-      scratch ? scratch->shard_merges : local_merges;
+  auto& shard_merges = scratch.shard_merges;
   shard_merges.assign(num_shards, 0);
-  if (scratch) {
-    scratch->shard_indexes.resize(num_shards);
-    scratch->shard_order.resize(num_shards);
-    scratch->shard_group.resize(num_shards);
-  }
+  scratch.shard_indexes.resize(num_shards);
+  scratch.shard_order.resize(num_shards);
+  scratch.shard_group.resize(num_shards);
   pool.parallel_for(num_shards, [&](std::size_t s) {
-    const telemetry::ScopedTimer timer(shard_latency[s]);
-    NonLoopedIndex local_index;
-    NonLoopedIndex& index =
-        scratch ? scratch->shard_indexes[s] : local_index;
-    build_shard(static_cast<unsigned>(s), index);
+    const telemetry::ScopedTimer timer(scratch.shard_latency[s]);
+    NonLoopedIndex& index = scratch.shard_indexes[s];
+    index.rebuild(store, scratch.membership, static_cast<unsigned>(s),
+                  num_shards);
     // Group this shard's prefixes only, with global stream indices.
-    std::vector<std::uint32_t> local_order;
-    std::vector<std::uint32_t> local_group;
-    std::vector<std::uint32_t>& order =
-        scratch ? scratch->shard_order[s] : local_order;
-    std::vector<std::uint32_t>& group =
-        scratch ? scratch->shard_group[s] : local_group;
     group_and_merge(
         valid_streams,
         [&](std::uint32_t i) {
           return shard_of_prefix(valid_streams[i].dst24, num_shards) == s;
         },
-        order, group, index, config_.merge_gap, shard_loops[s],
-        shard_merges[s], journal_);
+        scratch.shard_order[s], scratch.shard_group[s], index,
+        config_.merge_gap, shard_loops[s], shard_merges[s], journal_);
   }, "merge_shard");
 
   std::vector<RoutingLoop> loops;

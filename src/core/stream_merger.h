@@ -8,10 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/prefix_index.h"
 #include "core/record_store.h"
 #include "core/replica_detector.h"
@@ -41,11 +39,10 @@ struct MergerConfig {
   net::TimeNs merge_gap = net::kMinute;
 };
 
-// Reusable buffers for the store-based merge_sharded(): the membership
-// bitmap, one NonLoopedIndex per shard (rebuilt in place), per-shard
-// grouping scratch and output vectors, and the resolved shard-latency
-// histogram pointers. A warm call through a scratch reuses all of their
-// capacity; results are identical to the scratch-free overloads.
+// Reusable buffers for merge_sharded(): the membership bitmap, one
+// NonLoopedIndex per shard (rebuilt in place), per-shard grouping scratch
+// and output vectors, and the resolved shard-latency histogram pointers. A
+// warm call reuses all of their capacity.
 struct MergerScratch {
   std::vector<bool> membership;
   std::vector<NonLoopedIndex> shard_indexes;
@@ -81,42 +78,23 @@ class StreamMerger {
 
   // Sharded merge(): partitions prefixes across shards (merging is
   // independent per /24 — streams of different prefixes never merge), each
-  // shard using a NonLoopedIndex of its own prefixes for the gap checks.
-  // Per-shard loops are concatenated and sorted by the same (prefix, start)
-  // total order merge() uses, so output is field-identical for any pool
-  // size and shard count. Loops' stream_indices are global indices into
-  // `valid_streams`, exactly as in the serial path.
-  std::vector<RoutingLoop> merge_sharded(
-      const std::vector<ParsedRecord>& records,
-      const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-      unsigned num_shards) const;
-
-  // Columnized equivalent of merge_sharded().
-  std::vector<RoutingLoop> merge_sharded(
-      const RecordStore& store,
-      const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-      unsigned num_shards) const;
-
-  // As above, reusing `scratch` buffers across calls (pipeline workspace
-  // path). Output loops and order are identical.
+  // shard rebuilding its scratch NonLoopedIndex over its own prefixes for
+  // the gap checks. Per-shard loops are concatenated and sorted by the same
+  // (prefix, start) total order merge() uses, so output is field-identical
+  // for any pool size and shard count. Loops' stream_indices are global
+  // indices into `valid_streams`, exactly as in the serial path.
   std::vector<RoutingLoop> merge_sharded(
       const RecordStore& store,
       const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
       unsigned num_shards, MergerScratch& scratch) const;
 
  private:
-  // Shared merge loops; the record-based and store-based overloads differ
-  // only in how the NonLoopedIndex is built, so both delegate here and
-  // cannot drift. `build_shard` fills the provided index for one shard;
-  // `scratch` (optional) supplies per-shard index/grouping/output storage,
-  // otherwise locals are used.
+  // The serial merge loop, shared by both merge() overloads (they differ
+  // only in how the NonLoopedIndex is built) and by merge_sharded() when
+  // there is a single shard.
   std::vector<RoutingLoop> merge_with_index(
       const NonLoopedIndex& index,
       const std::vector<ReplicaStream>& valid_streams) const;
-  std::vector<RoutingLoop> merge_sharded_impl(
-      const std::function<void(unsigned, NonLoopedIndex&)>& build_shard,
-      const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-      unsigned num_shards, MergerScratch* scratch) const;
 
   MergerConfig config_;
   telemetry::Registry* registry_ = nullptr;

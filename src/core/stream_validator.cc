@@ -1,8 +1,8 @@
 #include "core/stream_validator.h"
 
 #include <cstdint>
-#include <memory>
-#include <string>
+
+#include "core/parallel.h"
 
 namespace rloop::core {
 
@@ -123,36 +123,6 @@ std::vector<ReplicaStream> StreamValidator::validate_with_index(
 }
 
 std::vector<ReplicaStream> StreamValidator::validate_sharded(
-    const std::vector<ParsedRecord>& records,
-    std::vector<ReplicaStream> streams, util::ThreadPool& pool,
-    unsigned num_shards, ValidationStats* stats) const {
-  if (num_shards < 2) return validate(records, std::move(streams), stats);
-  // The membership vector must be shared across shard-index builds, so it is
-  // captured by the factory rather than rebuilt per shard.
-  auto member = std::make_shared<const std::vector<bool>>(
-      stream_membership(records.size(), streams));
-  return validate_sharded_impl(
-      [&records, member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out = NonLoopedIndex(records, *member, s, num_shards);
-      },
-      std::move(streams), pool, num_shards, nullptr, stats);
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_sharded(
-    const RecordStore& store, std::vector<ReplicaStream> streams,
-    util::ThreadPool& pool, unsigned num_shards,
-    ValidationStats* stats) const {
-  if (num_shards < 2) return validate(store, std::move(streams), stats);
-  auto member = std::make_shared<const std::vector<bool>>(
-      stream_membership(store.size(), streams));
-  return validate_sharded_impl(
-      [&store, member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out = NonLoopedIndex(store, *member, s, num_shards);
-      },
-      std::move(streams), pool, num_shards, nullptr, stats);
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_sharded(
     const RecordStore& store, std::vector<ReplicaStream> streams,
     util::ThreadPool& pool, unsigned num_shards, ValidatorScratch& scratch,
     ValidationStats* stats) const {
@@ -163,49 +133,23 @@ std::vector<ReplicaStream> StreamValidator::validate_sharded(
     return validate_with_index(scratch.shard_indexes[0], std::move(streams),
                                stats);
   }
-  const std::vector<bool>& member = scratch.membership;
-  return validate_sharded_impl(
-      [&store, &member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out.rebuild(store, member, s, num_shards);
-      },
-      std::move(streams), pool, num_shards, &scratch, stats);
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_sharded_impl(
-    const std::function<void(unsigned, NonLoopedIndex&)>& build_shard,
-    std::vector<ReplicaStream> streams, util::ThreadPool& pool,
-    unsigned num_shards, ValidatorScratch* scratch,
-    ValidationStats* stats) const {
   ValidationStats local;
   local.input_streams = streams.size();
-
-  std::vector<telemetry::Histogram*> local_latency;
-  std::vector<telemetry::Histogram*>& shard_latency =
-      scratch ? scratch->shard_latency : local_latency;
-  shard_latency.assign(num_shards, nullptr);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    shard_latency[s] = telemetry::get_histogram(
-        registry_, "rloop_pipeline_shard_latency_ns",
-        telemetry::latency_bounds_ns(),
-        {{"stage", "validate"}, {"shard", std::to_string(s)}},
-        "Wall-clock latency of one pipeline shard per sharded call");
-  }
 
   // Each shard judges the streams whose prefix it owns, against an index of
   // its own prefixes only. Verdict slots are disjoint across shards.
   // Verdicts live in a byte buffer so the scratch can own it without
   // exposing the Verdict enum.
-  std::vector<std::uint8_t> local_verdicts;
-  std::vector<std::uint8_t>& verdicts =
-      scratch ? scratch->verdicts : local_verdicts;
+  std::vector<std::uint8_t>& verdicts = scratch.verdicts;
   verdicts.assign(streams.size(), static_cast<std::uint8_t>(Verdict::keep));
-  if (scratch) scratch->shard_indexes.resize(num_shards);
+  scratch.shard_indexes.resize(num_shards);
+  shard_latency_histograms(registry_, "validate", num_shards,
+                           scratch.shard_latency);
   pool.parallel_for(num_shards, [&](std::size_t s) {
-    const telemetry::ScopedTimer timer(shard_latency[s]);
-    NonLoopedIndex local_index;
-    NonLoopedIndex& index =
-        scratch ? scratch->shard_indexes[s] : local_index;
-    build_shard(static_cast<unsigned>(s), index);
+    const telemetry::ScopedTimer timer(scratch.shard_latency[s]);
+    NonLoopedIndex& index = scratch.shard_indexes[s];
+    index.rebuild(store, scratch.membership, static_cast<unsigned>(s),
+                  num_shards);
     for (std::size_t i = 0; i < streams.size(); ++i) {
       if (shard_of_prefix(streams[i].dst24, num_shards) != s) continue;
       verdicts[i] = static_cast<std::uint8_t>(

@@ -11,10 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/prefix_index.h"
 #include "core/record_store.h"
 #include "core/replica_detector.h"
@@ -36,11 +34,10 @@ struct ValidationStats {
   std::uint64_t accepted = 0;
 };
 
-// Reusable buffers for the store-based validate_sharded(): the membership
-// bitmap, one NonLoopedIndex per shard (rebuilt in place), the per-stream
-// verdict array, and the resolved shard-latency histogram pointers. A warm
-// call through a scratch allocates nothing; results are identical to the
-// scratch-free overloads.
+// Reusable buffers for validate_sharded(): the membership bitmap, one
+// NonLoopedIndex per shard (rebuilt in place), the per-stream verdict array,
+// and the resolved shard-latency histogram pointers. A warm call allocates
+// nothing.
 struct ValidatorScratch {
   std::vector<bool> membership;
   std::vector<NonLoopedIndex> shard_indexes;
@@ -73,43 +70,23 @@ class StreamValidator {
                                       ValidationStats* stats = nullptr) const;
 
   // Sharded validate(): partitions by destination /24 prefix. Each shard
-  // builds a NonLoopedIndex restricted to its prefixes — the only prefix a
-  // stream's validation ever queries is its own dst24, so the restricted
-  // index answers identically to the global one — and records a keep/reject
-  // verdict per stream. Verdicts are assembled back in input order, so the
-  // output (and stats) are field-identical to validate() for any pool size
-  // and shard count.
-  std::vector<ReplicaStream> validate_sharded(
-      const std::vector<ParsedRecord>& records,
-      std::vector<ReplicaStream> streams, util::ThreadPool& pool,
-      unsigned num_shards, ValidationStats* stats = nullptr) const;
-
-  // Columnized equivalent of validate_sharded().
-  std::vector<ReplicaStream> validate_sharded(
-      const RecordStore& store, std::vector<ReplicaStream> streams,
-      util::ThreadPool& pool, unsigned num_shards,
-      ValidationStats* stats = nullptr) const;
-
-  // As above, reusing `scratch` buffers across calls (pipeline workspace
-  // path). Verdicts, stats and output order are identical.
+  // rebuilds its scratch NonLoopedIndex restricted to its prefixes — the
+  // only prefix a stream's validation ever queries is its own dst24, so the
+  // restricted index answers identically to the global one — and records a
+  // keep/reject verdict per stream. Verdicts are assembled back in input
+  // order, so the output (and stats) are field-identical to validate() for
+  // any pool size and shard count.
   std::vector<ReplicaStream> validate_sharded(
       const RecordStore& store, std::vector<ReplicaStream> streams,
       util::ThreadPool& pool, unsigned num_shards, ValidatorScratch& scratch,
       ValidationStats* stats = nullptr) const;
 
  private:
-  // Shared verdict loops; the record-based and store-based overloads differ
-  // only in how the NonLoopedIndex is built, so both delegate here and
-  // cannot drift. `build_shard` fills the provided index for one shard;
-  // `scratch` (optional) supplies per-shard index storage and the verdict
-  // buffer, otherwise locals are used.
+  // The serial verdict loop, shared by both validate() overloads (they
+  // differ only in how the NonLoopedIndex is built) and by
+  // validate_sharded() when there is a single shard.
   std::vector<ReplicaStream> validate_with_index(
       const NonLoopedIndex& index, std::vector<ReplicaStream> streams,
-      ValidationStats* stats) const;
-  std::vector<ReplicaStream> validate_sharded_impl(
-      const std::function<void(unsigned, NonLoopedIndex&)>& build_shard,
-      std::vector<ReplicaStream> streams, util::ThreadPool& pool,
-      unsigned num_shards, ValidatorScratch* scratch,
       ValidationStats* stats) const;
 
   ValidatorConfig config_;

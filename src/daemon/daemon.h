@@ -50,7 +50,7 @@
 #include "daemon/config.h"
 #include "daemon/governor.h"
 #include "daemon/packet_source.h"
-#include "daemon/spsc_ring.h"
+#include "util/spsc_ring.h"
 #include "net/trace.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
@@ -175,7 +175,7 @@ class Daemon {
   telemetry::DecisionLog* journal_ = nullptr;
   StatsSink stats_sink_;
   core::StreamingDetector detector_;
-  SpscRing<net::TraceRecord> ring_;
+  util::SpscRing<net::TraceRecord> ring_;
   OverloadGovernor governor_;
 
   std::atomic<bool> stop_{false};

@@ -6,14 +6,8 @@
 namespace rloop::util {
 
 ThreadPool::ThreadPool(std::size_t num_threads, telemetry::Registry* registry,
-                       telemetry::TraceSink* trace)
-    : m_queue_depth_(telemetry::get_gauge(
-          registry, "rloop_threadpool_queue_depth", {},
-          "Tasks waiting in the thread-pool queue")),
-      m_tasks_(telemetry::get_counter(
-          registry, "rloop_threadpool_tasks_total", {},
-          "Tasks submitted to the thread pool")),
-      trace_(trace) {
+                       telemetry::TraceSink* trace) {
+  set_telemetry(registry, trace);
   const std::size_t n = std::max<std::size_t>(1, num_threads);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -28,6 +22,22 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& worker : workers_) worker.join();
+}
+
+void ThreadPool::set_telemetry(telemetry::Registry* registry,
+                               telemetry::TraceSink* trace) {
+  telemetry::Gauge* depth = telemetry::get_gauge(
+      registry, "rloop_threadpool_queue_depth", {},
+      "Tasks waiting in the thread-pool queue");
+  telemetry::Counter* tasks = telemetry::get_counter(
+      registry, "rloop_threadpool_tasks_total", {},
+      "Tasks submitted to the thread pool");
+  // Under the queue mutex: workers read these after popping a task, so the
+  // next fan-out's workers see the new pointers.
+  const std::lock_guard<std::mutex> lock(mu_);
+  m_queue_depth_ = depth;
+  m_tasks_ = tasks;
+  trace_ = trace;
 }
 
 void ThreadPool::submit(std::function<void()> task) {

@@ -42,6 +42,15 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  // Re-points the queue-depth gauge, task counter and span sink at new
+  // sinks (null detaches). Call only while no fan-out is in flight. An
+  // owner that keeps the pool across calls with different sinks (the
+  // pipeline workspace) attaches the caller's sinks for one call and
+  // detaches them after, so the pool never holds a pointer that outlives
+  // the sink it points into.
+  void set_telemetry(telemetry::Registry* registry,
+                     telemetry::TraceSink* trace);
+
   // Enqueues a task; it runs on some worker, eventually. Tasks must not
   // throw (submit-side exceptions terminate); use parallel_for for
   // exception-propagating fan-out.

@@ -108,18 +108,29 @@ RunResult run_rloopd(const std::string& binary,
     std::_Exit(127);
   }
   if (!manual_kill_dir.empty()) {
-    // Wait for the first checkpoint of THIS incarnation, then a little more
-    // progress, then kill. Bounded so a wedged child cannot hang the soak.
+    // Wait until THIS incarnation has started (its restore-or-cold-start
+    // line is on stderr), then for its first checkpoint or a little more
+    // progress, then kill. Startup simulates the scenario and can take
+    // longer than the progress fallback, and retention keeps the file count
+    // flat once two snapshots exist, so without the startup wait the kill
+    // could land before the child restored anything. Bounded so a wedged
+    // child cannot hang the soak.
     const std::size_t before =
         std::distance(fs::directory_iterator(manual_kill_dir), {});
+    bool started = false;
+    int since_start = 0;
     for (int i = 0; i < 3000; ++i) {
       int status = 0;
       if (::waitpid(pid, &status, WNOHANG) == pid) {
         return {status, slurp(stderr_path)};  // finished before the kill
       }
-      if (std::distance(fs::directory_iterator(manual_kill_dir), {}) >
-              before ||
-          (before > 0 && i > 50)) {
+      if (!started) {
+        const std::string err = slurp(stderr_path);
+        started = err.find("restored checkpoint") != std::string::npos ||
+                  err.find("cold start") != std::string::npos;
+      } else if (std::distance(fs::directory_iterator(manual_kill_dir), {}) >
+                     before ||
+                 (before > 0 && ++since_start > 50)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         ::kill(pid, SIGKILL);
         break;

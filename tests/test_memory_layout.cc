@@ -4,9 +4,10 @@
 // RecordStore, and the flat NonLoopedIndex are all optimizations with an
 // exact-behavior contract: field-identical output to the straightforward
 // structures they replaced. detect_reference() keeps the pre-overhaul engine
-// verbatim as the oracle; these tests diff the two on synthetic and fuzzed
-// traces, serially and across shard counts, and pin the allocation win the
-// arena + flat table exist for.
+// verbatim as the oracle; these tests diff it against the serial detector
+// and the staged parallel pipeline on synthetic and fuzzed traces, across
+// thread and shard counts, and pin the allocation win the arena + flat table
+// exist for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +31,6 @@
 #include "result_equality.h"
 #include "trace_builder.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace {
 // Global allocation counter for the arena/flat-map win assertion. Relaxed
@@ -192,7 +192,6 @@ TEST(MemoryLayout, FlatDetectorMatchesReferenceOnFuzzedTraces) {
 }
 
 TEST(MemoryLayout, ShardedFlatDetectorMatchesReferenceAcrossShardCounts) {
-  util::ThreadPool pool(4);
   for (const std::uint64_t seed : {17u, 101u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     TraceBuilder builder;
@@ -201,11 +200,16 @@ TEST(MemoryLayout, ShardedFlatDetectorMatchesReferenceAcrossShardCounts) {
 
     const ReplicaDetector detector;
     const auto reference = detector.detect_reference(trace, records);
-    for (const unsigned shards : {2u, 4u, 8u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      expect_equal_stream_vectors(
-          reference, detector.detect_sharded(trace, records, pool, shards),
-          "streams");
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      for (const unsigned bits : {1u, 4u}) {
+        SCOPED_TRACE("num_threads=" + std::to_string(threads) +
+                     " shard_bits=" + std::to_string(bits));
+        LoopDetectorConfig config;
+        config.parallel.num_threads = threads;
+        config.parallel.shard_bits = bits;
+        expect_equal_stream_vectors(
+            reference, detect_loops(trace, config).raw_streams, "streams");
+      }
     }
   }
 }
@@ -232,24 +236,6 @@ TEST(MemoryLayout, RecordStoreColumnsMatchParsedRecords) {
         << i;
     EXPECT_EQ(store.key_hash(i), replica_key_hash(trace[i].bytes())) << i;
     EXPECT_EQ(store.bytes(i).size(), trace[i].bytes().size()) << i;
-  }
-}
-
-TEST(MemoryLayout, RecordStoreParallelBuildIsBytewiseIdentical) {
-  TraceBuilder builder;
-  const net::Trace& trace = fuzz_trace(builder, 29);
-  const auto records = parse_trace(trace);
-  const auto serial = RecordStore::build(trace, records);
-
-  util::ThreadPool pool(4);
-  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}, std::size_t{1000}}) {
-    SCOPED_TRACE("chunk=" + std::to_string(chunk));
-    const auto parallel = RecordStore::build_parallel(trace, records, pool,
-                                                      chunk);
-    ASSERT_EQ(parallel.size(), serial.size());
-    EXPECT_EQ(parallel.key_hash_column(), serial.key_hash_column());
-    EXPECT_EQ(parallel.ts_column(), serial.ts_column());
   }
 }
 
@@ -329,11 +315,9 @@ TEST(MemoryLayout, ShardedFlatIndexAnswersOwnPrefixLikeGlobal) {
   EXPECT_EQ(global_store.entry_count(), global.entry_count());
 
   constexpr unsigned kShards = 4;
-  std::vector<NonLoopedIndex> shards;
-  std::vector<NonLoopedIndex> shards_store;
+  std::vector<NonLoopedIndex> shards(kShards);
   for (unsigned s = 0; s < kShards; ++s) {
-    shards.emplace_back(records, member, s, kShards);
-    shards_store.emplace_back(store, member, s, kShards);
+    shards[s].rebuild(store, member, s, kShards);
   }
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (!records[i].ok) continue;
@@ -343,10 +327,6 @@ TEST(MemoryLayout, ShardedFlatIndexAnswersOwnPrefixLikeGlobal) {
     const auto want = global.first_in(p, ts - net::kSecond, ts + net::kSecond);
     EXPECT_EQ(shards[s].first_in(p, ts - net::kSecond, ts + net::kSecond),
               want)
-        << i;
-    EXPECT_EQ(
-        shards_store[s].first_in(p, ts - net::kSecond, ts + net::kSecond),
-        want)
         << i;
     EXPECT_EQ(global_store.first_in(p, ts - net::kSecond, ts + net::kSecond),
               want)

@@ -5,17 +5,19 @@
 // loops, same ValidationStats. The sharding argument (parallel.h) says this
 // holds for any trace; these tests check it on simulator-generated Backbone
 // traces across seeds, on synthetic adversarial traces, and for the
-// supporting primitives (parallel parse, key-hash consistency, pool
-// exception propagation).
+// supporting primitives (key-hash consistency, pool exception propagation,
+// workspace reuse across registries).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/loop_detector.h"
 #include "core/parallel.h"
+#include "core/pipeline.h"
 #include "core/replica_key.h"
 #include "net/packet.h"
 #include "result_equality.h"
@@ -130,41 +132,6 @@ TEST(ParallelPipeline, EmptyTrace) {
   EXPECT_TRUE(result.loops.empty());
 }
 
-TEST(ParallelPipeline, ParallelParseMatchesSerial) {
-  TraceBuilder builder;
-  util::Rng rng(17);
-  for (int i = 0; i < 3000; ++i) {
-    if (rng.bernoulli(0.05)) {
-      builder.raw(i * 1000, std::vector<std::byte>(
-                                static_cast<std::size_t>(
-                                    rng.uniform_int(0, 20))));
-    } else {
-      builder.packet(i * 1000,
-                     net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(i % 250),
-                                   static_cast<std::uint8_t>(i % 200)),
-                     static_cast<std::uint8_t>(rng.uniform_int(2, 255)),
-                     static_cast<std::uint16_t>(i));
-    }
-  }
-  const auto serial = core::parse_trace(builder.trace());
-  util::ThreadPool pool(4);
-  // Chunk sizes that do and do not divide the record count evenly.
-  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}, std::size_t{4096}}) {
-    SCOPED_TRACE("chunk=" + std::to_string(chunk));
-    const auto parallel =
-        core::parse_trace_parallel(builder.trace(), pool, chunk);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].ok, serial[i].ok) << i;
-      EXPECT_EQ(parallel[i].ts, serial[i].ts) << i;
-      EXPECT_EQ(parallel[i].index, serial[i].index) << i;
-      EXPECT_EQ(parallel[i].dst24, serial[i].dst24) << i;
-      EXPECT_EQ(parallel[i].wire_len, serial[i].wire_len) << i;
-    }
-  }
-}
-
 // replica_key_hash (the shard-assignment fast path) must agree with the hash
 // of the materialized key for arbitrary byte lengths, or records of one key
 // could land in different shards and split a stream.
@@ -249,6 +216,43 @@ TEST(ParallelPipeline, PerShardTelemetryRegisteredAndHarmless) {
   // workers), surfaced through the existing registry — no new endpoint.
   EXPECT_EQ(busy_counters, 2u);
   EXPECT_EQ(idle_counters, 2u);
+}
+
+// A workspace kept across calls must not carry one call's telemetry into
+// the next. Here the second registry is a new object at the first one's
+// address (std::optional storage is inline), so a pool kept by comparing
+// sink pointers would still point at the destroyed registry's counters.
+// Each registry must see its own run's pool tasks, and the two runs are
+// identical, so the counts must match.
+TEST(ParallelPipeline, WorkspaceReusedWithNewRegistryAtSameAddress) {
+  TraceBuilder builder;
+  builder.replica_stream(0, net::Ipv4Addr(203, 0, 113, 10), 64, 7, 8, 2,
+                         net::kMillisecond);
+  core::PipelineWorkspace workspace;
+  auto config = parallel_config(3, 4);
+  config.workspace = &workspace;
+
+  const auto pool_tasks = [](const telemetry::Registry& registry) {
+    for (const auto& m : registry.snapshot()) {
+      if (m.name == "rloop_threadpool_tasks_total") return m.value;
+    }
+    return -1.0;  // never registered
+  };
+
+  std::optional<telemetry::Registry> registry;
+  registry.emplace();
+  config.registry = &*registry;
+  (void)core::detect_loops(builder.trace(), config);
+  const double first = pool_tasks(*registry);
+
+  registry.reset();
+  registry.emplace();
+  config.registry = &*registry;
+  (void)core::detect_loops(builder.trace(), config);
+  const double second = pool_tasks(*registry);
+
+  EXPECT_GT(first, 0.0);
+  EXPECT_EQ(second, first);
 }
 
 }  // namespace

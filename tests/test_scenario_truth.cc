@@ -25,6 +25,7 @@
 
 #include "core/streaming_detector.h"
 #include "daemon/daemon.h"
+#include "util/spsc_ring.h"
 
 namespace rloop::scenarios {
 namespace {
@@ -173,7 +174,7 @@ TEST(ScenarioDaemon, DropNewestLedgerAndConsumedSubsetRecall) {
   // set maps straight onto a ground-truth subset.
   ASSERT_EQ(trace.size(), run.crossings.size());
 
-  daemon::SpscRing<net::TraceRecord> ring(64);
+  util::SpscRing<net::TraceRecord> ring(64);
   std::vector<core::LoopAlert> alerts;
   core::StreamingDetector detector(
       scenario_streaming_config(run.spec),

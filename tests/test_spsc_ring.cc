@@ -1,4 +1,4 @@
-#include "daemon/spsc_ring.h"
+#include "util/spsc_ring.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include <thread>
 #include <vector>
 
-namespace rloop::daemon {
+namespace rloop::util {
 namespace {
 
 TEST(SpscRing, RejectsNonPowerOfTwoCapacity) {
@@ -134,4 +134,4 @@ TEST(SpscRing, ThreadedDropNewestAccountsForEveryRecord) {
 }
 
 }  // namespace
-}  // namespace rloop::daemon
+}  // namespace rloop::util
