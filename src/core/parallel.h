@@ -55,9 +55,7 @@ inline unsigned shard_of_key_hash(std::uint64_t hash, unsigned num_shards) {
 // Shard for a destination /24 prefix (validation + merge partitioning).
 inline unsigned shard_of_prefix(const net::Prefix& prefix,
                                 unsigned num_shards) {
-  const auto packed =
-      (static_cast<std::uint64_t>(prefix.addr.value) << 8) | prefix.len;
-  return static_cast<unsigned>(mix64(packed) % num_shards);
+  return static_cast<unsigned>(mix64(prefix.packed()) % num_shards);
 }
 
 // Resolves one rloop_pipeline_shard_latency_ns{stage, shard} histogram per

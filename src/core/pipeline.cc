@@ -18,7 +18,6 @@
 #include "telemetry/counter.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
-#include "util/simd.h"
 #include "util/spsc_ring.h"
 #include "util/thread_pool.h"
 
@@ -208,14 +207,14 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
         const std::size_t hi = std::min(n, lo + kEpochRecords);
         const telemetry::ScopedSpan epoch_span(config.trace, "hash_chunk");
         const std::int64_t t0 = timed ? now_ns() : 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          ws.hashes[i] = replica_key_hash(trace[i].bytes());
-        }
         // num_shards is 1 << shard_bits (ParallelConfig), so the modulo in
-        // shard_of_key_hash is this mask; the SIMD kernel computes the same
-        // mix64-and-mask for four hashes per lane.
-        util::simd::mix64_mask(ws.hashes.data() + lo, ws.shard_ids.data() + lo,
-                               hi - lo, num_shards - 1);
+        // shard_of_key_hash is this mask.
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::uint64_t h = replica_key_hash(trace[i].bytes());
+          ws.hashes[i] = h;
+          ws.shard_ids[i] =
+              static_cast<std::uint32_t>(mix64(h) & (num_shards - 1));
+        }
         const std::int64_t t1 = timed ? now_ns() : 0;
         // Claim one batch per worker. An empty free ring means that worker
         // is kRingDepth epochs behind — waiting here is the back-pressure

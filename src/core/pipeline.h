@@ -14,7 +14,7 @@
 //   driver (body 0)            workers (bodies 1..W)
 //   ------------------         -------------------------------------------
 //   epoch N+1: hash bytes,     epoch N: parse records, fill store rows,
-//   SIMD shard-assign,         feed each record to its shard's detect
+//   shard-assign,              feed each record to its shard's detect
 //   partition indices,    -->  state machine (FlatDetectState)
 //   push batch per worker      ...
 //   (bounded SPSC rings)       on drain: finish() each owned shard

@@ -7,20 +7,12 @@
 
 namespace rloop::core {
 
-namespace {
-
-std::uint64_t pack(const net::Prefix& prefix) {
-  return (static_cast<std::uint64_t>(prefix.addr.value) << 8) | prefix.len;
-}
-
-}  // namespace
-
 void NonLoopedIndex::seal() {
   // Records were appended in time order, so entries with equal keys are
   // already ts-sorted; any STABLE sort by key alone therefore yields the
-  // (key, ts) order the queries binary-search. Keys are packed
-  // (addr << 8) | len — 40 significant bits — so three LSD counting passes
-  // of 14 bits sort them outright, in linear time and with sequential
+  // (key, ts) order the queries binary-search. Keys are Prefix::packed(),
+  // 40 significant bits, so three LSD counting passes of 14 bits sort
+  // them outright, in linear time and with sequential
   // scatter traffic, where a comparison sort pays n log n cache-missing
   // compares. Each pass is a counting sort (stable by construction).
   constexpr int kRadixBits = 14;
@@ -60,7 +52,7 @@ NonLoopedIndex::NonLoopedIndex(const std::vector<ParsedRecord>& records,
   for (const ParsedRecord& rec : records) {
     if (!rec.ok) continue;
     if (is_member[rec.index]) continue;
-    entries_.push_back({pack(rec.dst24), rec.ts});
+    entries_.push_back({rec.dst24.packed(), rec.ts});
   }
   seal();
 }
@@ -90,7 +82,7 @@ void NonLoopedIndex::rebuild(const RecordStore& store,
   for (std::size_t i = 0; i < n; ++i) {
     if (!store.ok(i)) continue;
     if (is_member[i]) continue;
-    // shard_of_prefix over the packed key: mix64(pack(prefix)) % num_shards.
+    // shard_of_prefix(prefix) is mix64(prefix.packed()) % num_shards.
     if (mix64(store.dst24_key(i)) % num_shards != shard) continue;
     entries_.push_back({store.dst24_key(i), store.ts(i)});
   }
@@ -105,7 +97,7 @@ bool NonLoopedIndex::any_in(const net::Prefix& prefix24, net::TimeNs from,
 std::optional<net::TimeNs> NonLoopedIndex::first_in(const net::Prefix& prefix24,
                                                     net::TimeNs from,
                                                     net::TimeNs to) const {
-  const Entry probe{pack(prefix24), from};
+  const Entry probe{prefix24.packed(), from};
   const auto lo = std::lower_bound(
       entries_.begin(), entries_.end(), probe,
       [](const Entry& a, const Entry& b) {

@@ -12,7 +12,7 @@
 // Compared to the hash-map-of-vectors this replaces, the build is one
 // append-only pass plus one sort (no per-prefix node allocation or
 // rehashing), and a query is a single lower_bound over contiguous memory.
-// The packed key is (addr << 8) | len — the same packing std::hash<Prefix>
+// The key is net::Prefix::packed() — the same packing std::hash<Prefix>
 // and shard_of_prefix use.
 #pragma once
 
@@ -70,7 +70,7 @@ class NonLoopedIndex {
 
  private:
   struct Entry {
-    std::uint64_t key = 0;  // (addr << 8) | len
+    std::uint64_t key = 0;  // net::Prefix::packed()
     net::TimeNs ts = 0;
   };
 

@@ -21,9 +21,10 @@
 // merges), and `bytes(i)` hands those out. The trace must therefore outlive
 // the store.
 //
-// ParsedRecord remains the public API of parse results; the store is built
-// from (trace, records) by the serial pipeline's columnize stage, or row by
-// row (prepare + set_row) by the staged dataflow, with identical columns.
+// ParsedRecord remains the public API of parse results. Both paths fill the
+// store row by row through prepare + set_row: build() does it for the serial
+// pipeline's columnize stage, the staged dataflow's workers for the rows
+// they own.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +42,9 @@ class RecordStore {
  public:
   RecordStore() = default;
 
-  // Columnizes `records` (which must be parse_trace(trace)); retains a
-  // pointer to `trace` for bytes().
+  // Columnizes `records` (which must be parse_trace(trace)) through
+  // prepare + set_row, hashing each record that parsed ok; retains a pointer
+  // to `trace` for bytes().
   static RecordStore build(const net::Trace& trace,
                            const std::vector<ParsedRecord>& records);
 
@@ -55,7 +57,8 @@ class RecordStore {
   void prepare(const net::Trace& trace, std::size_t n);
 
   // Fills row i from a parsed record plus its precomputed replica-key hash;
-  // the hash is stored only when the record parsed ok, matching build().
+  // the hash is stored only when the record parsed ok. The only writer of
+  // the columns, on the serial path (build) and the staged one alike.
   void set_row(std::size_t i, const ParsedRecord& rec,
                std::uint64_t key_hash) {
     ts_[i] = rec.ts;
@@ -76,9 +79,9 @@ class RecordStore {
   net::Prefix dst24(std::size_t i) const {
     return net::Prefix::of(net::Ipv4Addr(dst24_[i]), 24);
   }
-  // Packed (addr << 8 | 24) form of dst24, the NonLoopedIndex sort key.
+  // Packed form of dst24 (net::Prefix::pack), the NonLoopedIndex sort key.
   std::uint64_t dst24_key(std::size_t i) const {
-    return (static_cast<std::uint64_t>(dst24_[i]) << 8) | 24u;
+    return net::Prefix::pack(dst24_[i], 24);
   }
   std::uint64_t key_hash(std::size_t i) const { return key_hash_[i]; }
 
@@ -87,12 +90,6 @@ class RecordStore {
   std::span<const std::byte> bytes(std::size_t i) const {
     return (*trace_)[i].bytes();
   }
-
-  // Raw column access for tests and benchmarks.
-  const std::vector<std::uint64_t>& key_hash_column() const {
-    return key_hash_;
-  }
-  const std::vector<net::TimeNs>& ts_column() const { return ts_; }
 
  private:
   const net::Trace* trace_ = nullptr;

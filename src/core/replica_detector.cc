@@ -1,13 +1,11 @@
 #include "core/replica_detector.h"
 
 #include <algorithm>
-#include <array>
 #include <unordered_map>
 
 #include "core/detect_state.h"
 #include "util/arena.h"
 #include "util/flat_map.h"
-#include "util/simd.h"
 
 namespace rloop::core {
 
@@ -25,27 +23,8 @@ std::vector<int> ReplicaStream::ttl_deltas() const {
   return deltas;
 }
 
-int ReplicaStream::dominant_ttl_delta() const {
-  // A TTL delta fits [1, 255]; a direct-indexed counter avoids the
-  // allocating ordered map this used, and the ascending scan with a strict
-  // `>` keeps the same tie-break (smallest delta wins). The pairwise
-  // accumulation runs through the SIMD histogram kernel in 256-pair tiles
-  // gathered from the replica array (each TTL is one strided byte of a
-  // Replica), with one element of overlap so tile seams contribute their
-  // pair exactly once.
-  std::array<std::uint32_t, 256> counts{};
-  const std::size_t n = replicas.size();
-  std::uint8_t ttls[257];
-  std::size_t i = 1;
-  while (i < n) {
-    const std::size_t pairs = std::min<std::size_t>(256, n - i);
-    ttls[0] = replicas[i - 1].ttl;
-    for (std::size_t j = 0; j < pairs; ++j) {
-      ttls[j + 1] = replicas[i + j].ttl;
-    }
-    util::simd::ttl_delta_hist(ttls, pairs + 1, counts.data());
-    i += pairs;
-  }
+int ttl_delta_mode(const TtlDeltaCounts& counts) {
+  // The ascending scan with a strict `>` gives the smallest-delta tie-break.
   int best = 0;
   std::uint32_t best_count = 0;
   for (int d = 1; d < 256; ++d) {
@@ -55,6 +34,16 @@ int ReplicaStream::dominant_ttl_delta() const {
     }
   }
   return best;
+}
+
+int ReplicaStream::dominant_ttl_delta() const {
+  TtlDeltaCounts counts{};
+  for (std::size_t i = 1; i < replicas.size(); ++i) {
+    if (replicas[i - 1].ttl > replicas[i].ttl) {
+      ++counts[replicas[i - 1].ttl - replicas[i].ttl];
+    }
+  }
+  return ttl_delta_mode(counts);
 }
 
 double ReplicaStream::mean_spacing_ns() const {

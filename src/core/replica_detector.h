@@ -12,6 +12,7 @@
 // identical bytes).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +35,15 @@ struct Replica {
   net::TimeNs ts = 0;
   std::uint8_t ttl = 0;
 };
+
+// Occurrences of each TTL delta, indexed by delta. A delta fits [1, 255];
+// slot 0 is never read.
+using TtlDeltaCounts = std::array<std::uint32_t, 256>;
+
+// The most frequent delta in `counts`, ties going to the smallest; 0 when
+// every delta count is zero. The hop-count mode of a stream
+// (dominant_ttl_delta) and of a merged loop (StreamMerger) alike.
+int ttl_delta_mode(const TtlDeltaCounts& counts);
 
 struct ReplicaStream {
   ReplicaKey key;

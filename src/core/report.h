@@ -34,7 +34,4 @@ void write_loops_csv(std::ostream& os, const LoopDetectionResult& result);
 // One CSV row per validated replica stream.
 void write_streams_csv(std::ostream& os, const LoopDetectionResult& result);
 
-// RFC 8259 string escaping (exposed for tests).
-std::string json_escape(const std::string& text);
-
 }  // namespace rloop::core

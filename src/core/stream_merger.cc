@@ -1,7 +1,6 @@
 #include "core/stream_merger.h"
 
 #include <algorithm>
-#include <array>
 
 #include "core/parallel.h"
 
@@ -39,23 +38,13 @@ void merge_prefix_group(const net::Prefix& prefix,
   bool open = false;
   auto flush = [&]() {
     if (!open) return;
-    // The loop's hop count: mode of member streams' dominant deltas. Deltas
-    // fit [1, 255], so a direct-indexed counter replaces the ordered map;
-    // the ascending scan keeps the same smallest-delta tie-break.
-    std::array<std::uint32_t, 256> delta_counts{};
+    // The loop's hop count: mode of member streams' dominant deltas.
+    TtlDeltaCounts delta_counts{};
     for (std::uint32_t si : current.stream_indices) {
       const int d = valid_streams[si].dominant_ttl_delta();
       if (d > 0) ++delta_counts[static_cast<std::size_t>(d)];
     }
-    int best = 0;
-    std::uint32_t best_count = 0;
-    for (int d = 1; d < 256; ++d) {
-      if (delta_counts[static_cast<std::size_t>(d)] > best_count) {
-        best = d;
-        best_count = delta_counts[static_cast<std::size_t>(d)];
-      }
-    }
-    current.ttl_delta = best;
+    current.ttl_delta = ttl_delta_mode(delta_counts);
     telemetry::record(
         journal,
         {.kind = telemetry::DecisionKind::loop_emitted,

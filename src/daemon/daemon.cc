@@ -18,16 +18,6 @@ namespace rloop::daemon {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 // Epoch wall-latency buckets: 1 us .. ~4 s.
 std::vector<double> epoch_bounds_ns() {
   return telemetry::exponential_bounds(1e3, 4.0, 11);
@@ -42,7 +32,7 @@ std::vector<double> batch_bounds() {
 
 std::string DaemonStats::to_json(const std::string& metrics_json) const {
   std::ostringstream out;
-  out << "{\"source\":\"" << json_escape(source) << "\""
+  out << "{\"source\":\"" << telemetry::json_escape(source) << "\""
       << ",\"pushed\":" << pushed << ",\"consumed\":" << consumed
       << ",\"dropped\":" << dropped
       << ",\"invariant_ok\":" << (invariant_ok() ? "true" : "false")
@@ -359,6 +349,27 @@ void Daemon::apply_reload() {
   // still ticks so the operator sees the signal arrived.
 }
 
+void Daemon::finish_epoch(telemetry::PeriodicExporter* exporter) {
+  if (reload_.exchange(false, std::memory_order_relaxed)) apply_reload();
+  if (config_.use_ring && config_.governor_enabled) {
+    apply_tier(governor_.on_epoch(ring_.size_approx(), ring_.capacity()));
+  }
+  maybe_checkpoint(/*force=*/false);
+  // Per-epoch anchor for fault injection; a no-op on trip, the
+  // crash-recovery soak arms it with kill@nth:N to die here.
+  if (RLOOP_FAILPOINT("daemon.epoch")) {
+  }
+  // Injected overload: same escalation path as a detection bad_alloc
+  // (straight to sample_suspects), used to prove /readyz goes 503.
+  if (RLOOP_FAILPOINT("daemon.governor.degrade")) {
+    const DegradeTier tier = governor_.on_alloc_failure();
+    if (config_.governor_enabled) apply_tier(tier);
+  }
+  export_failpoint_trips();
+  publish_observability(/*final_publish=*/false);
+  if (exporter) exporter->pump(last_packet_ts_);
+}
+
 DaemonStats Daemon::run() {
   std::unique_ptr<telemetry::PeriodicExporter> exporter;
   if (registry_ && config_.stats_interval > 0 && stats_sink_) {
@@ -403,24 +414,7 @@ DaemonStats Daemon::run() {
         continue;
       }
       consume_batch(batch.data(), n);
-      if (reload_.exchange(false, std::memory_order_relaxed)) apply_reload();
-      if (config_.governor_enabled) {
-        apply_tier(governor_.on_epoch(ring_.size_approx(), ring_.capacity()));
-      }
-      maybe_checkpoint(/*force=*/false);
-      // Per-epoch anchor for fault injection; a no-op on trip, the
-      // crash-recovery soak arms it with kill@nth:N to die here.
-      if (RLOOP_FAILPOINT("daemon.epoch")) {
-      }
-      // Injected overload: same escalation path as a detection bad_alloc
-      // (straight to sample_suspects), used to prove /readyz goes 503.
-      if (RLOOP_FAILPOINT("daemon.governor.degrade")) {
-        const DegradeTier tier = governor_.on_alloc_failure();
-        if (config_.governor_enabled) apply_tier(tier);
-      }
-      export_failpoint_trips();
-      publish_observability(/*final_publish=*/false);
-      if (exporter) exporter->pump(last_packet_ts_);
+      finish_epoch(exporter.get());
     }
     producer.join();
   } else {
@@ -437,17 +431,7 @@ DaemonStats Daemon::run() {
       pushed_.fetch_add(n, std::memory_order_relaxed);
       telemetry::inc(m_pushed_, n);
       consume_batch(batch.data(), n);
-      if (reload_.exchange(false, std::memory_order_relaxed)) apply_reload();
-      maybe_checkpoint(/*force=*/false);
-      if (RLOOP_FAILPOINT("daemon.epoch")) {
-      }
-      if (RLOOP_FAILPOINT("daemon.governor.degrade")) {
-        const DegradeTier tier = governor_.on_alloc_failure();
-        if (config_.governor_enabled) apply_tier(tier);
-      }
-      export_failpoint_trips();
-      publish_observability(/*final_publish=*/false);
-      if (exporter) exporter->pump(last_packet_ts_);
+      finish_epoch(exporter.get());
     }
     producer_done_.store(true, std::memory_order_release);
   }

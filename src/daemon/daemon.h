@@ -55,6 +55,10 @@
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
 
+namespace rloop::telemetry {
+class PeriodicExporter;  // exporter.h
+}  // namespace rloop::telemetry
+
 namespace rloop::daemon {
 
 class ObservabilityHub;  // observability.h; attach_observability is optional
@@ -168,6 +172,11 @@ class Daemon {
   void publish_observability(bool final_publish);
   // Mirrors failpoint trip counts into rloop_failpoint_trips_total{name=}.
   void export_failpoint_trips();
+  // Everything run() does after consuming one epoch, in both modes: reload,
+  // governor tier (ring mode only — inline mode has no ring to measure),
+  // checkpoint, the per-epoch failpoints, failpoint export, observability
+  // publish and the stats exporter pump (`exporter` may be null).
+  void finish_epoch(telemetry::PeriodicExporter* exporter);
 
   DaemonConfig config_;
   std::unique_ptr<PacketSource> source_;

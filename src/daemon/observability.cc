@@ -11,28 +11,6 @@
 namespace rloop::daemon {
 namespace {
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void field(std::string& out, const char* key, std::uint64_t v, bool first = false) {
   if (!first) out += ',';
   out += '"';
@@ -44,8 +22,9 @@ void field(std::string& out, const char* key, std::uint64_t v, bool first = fals
 void field_str(std::string& out, const char* key, const std::string& v) {
   out += ",\"";
   out += key;
-  out += "\":";
-  append_json_string(out, v);
+  out += "\":\"";
+  out += telemetry::json_escape(v);
+  out += '"';
 }
 
 telemetry::MetricSnapshot make_counter(std::string name, std::string help,
@@ -377,8 +356,9 @@ net::HttpResponse ObservabilityServer::loops(const net::HttpRequest&) {
   for (const auto& e : view.entries) {
     if (!first) out += ',';
     first = false;
-    out += "{\"prefix\":";
-    append_json_string(out, e.prefix24.to_string());
+    out += "{\"prefix\":\"";
+    out += telemetry::json_escape(e.prefix24.to_string());
+    out += '"';
     field(out, "first_ts_ns", static_cast<std::uint64_t>(e.first_ts));
     field(out, "last_ts_ns", static_cast<std::uint64_t>(e.last_ts));
     field(out, "replicas", e.replicas);

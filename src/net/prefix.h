@@ -31,6 +31,16 @@ struct Prefix {
 
   std::uint32_t netmask() const;
 
+  // One integer per prefix: (addr << 8) | len, 40 significant bits (32 of
+  // address, 8 of length). Ordering packed keys orders prefixes by address,
+  // then length. The hash below, the shard key of the parallel pipeline and
+  // the sort key of core::NonLoopedIndex all use it; that index's radix sort
+  // covers exactly these 40 bits.
+  static constexpr std::uint64_t pack(std::uint32_t addr, std::uint8_t len) {
+    return (static_cast<std::uint64_t>(addr) << 8) | len;
+  }
+  constexpr std::uint64_t packed() const { return pack(addr.value, len); }
+
   auto operator<=>(const Prefix&) const = default;
 
   std::string to_string() const;
@@ -44,7 +54,6 @@ struct Prefix {
 template <>
 struct std::hash<rloop::net::Prefix> {
   std::size_t operator()(const rloop::net::Prefix& p) const noexcept {
-    return std::hash<std::uint64_t>{}(
-        (static_cast<std::uint64_t>(p.addr.value) << 8) | p.len);
+    return std::hash<std::uint64_t>{}(p.packed());
   }
 };

@@ -6,7 +6,11 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "telemetry/exporter.h"
+
 namespace rloop::scenarios {
+
+using telemetry::json_escape;
 
 namespace {
 constexpr net::TimeNs kS = net::kSecond;
@@ -125,17 +129,6 @@ ScenarioScore score_reports(const ScenarioRun& run,
     if (!any) ++score.unmatched_reports;
   }
   return score;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // never occurs here
-    out.push_back(c);
-  }
-  return out;
 }
 
 std::string format_ratio(double v) {

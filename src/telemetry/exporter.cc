@@ -93,22 +93,31 @@ std::string render_labels_with(const LabelSet& labels, const std::string& key,
   return out;
 }
 
-std::string json_escape(const std::string& s) {
+}  // namespace
+
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
+  for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default: out += c;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
   return out;
 }
-
-}  // namespace
 
 std::string to_prometheus(const std::vector<MetricSnapshot>& snaps) {
   std::string out;

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/time.h"
@@ -27,6 +28,13 @@ std::string to_prometheus(const std::vector<MetricSnapshot>& snaps);
 
 // JSON array of metric objects; histograms carry per-bucket counts.
 std::string to_json(const std::vector<MetricSnapshot>& snaps);
+
+// Escapes `s` for the inside of a JSON string literal (RFC 8259; the quotes
+// are not added): `"` and `\` get a backslash, \n \r \t their short forms,
+// and every other control character below 0x20 becomes \u00XX. Every JSON
+// writer in the tree (metrics, spans, daemon stats and status, reports,
+// scenario verdicts) escapes through this one function.
+std::string json_escape(std::string_view s);
 
 class PeriodicExporter {
  public:

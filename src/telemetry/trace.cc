@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "telemetry/exporter.h"
+
 namespace rloop::telemetry {
 
 namespace {
@@ -10,20 +12,6 @@ namespace {
 // Per-thread nesting depth for span events. Only touched when a sink is
 // attached, so the disabled path never faults the thread-local in.
 thread_local std::uint32_t t_span_depth = 0;
-
-std::string json_escape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p; ++p) {
-    switch (*p) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += *p;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

@@ -284,6 +284,23 @@ TEST(Daemon, StatsJsonIsValidAndCarriesTheInvariant) {
   EXPECT_NE(json.find("rloop_daemon_ring_dropped_total"), std::string::npos);
 }
 
+// The source name embeds the capture path, which may hold any byte but NUL;
+// the --stats-out document must stay valid JSON whatever the path is.
+TEST(Daemon, StatsJsonEscapesControlCharactersInTheSource) {
+  const auto trace = net::read_pcap(golden_path("golden_trace.pcap"));
+  for (const char* odd : {"\t", "\n", "\r", "\x01", "\x1f", "\"", "\\"}) {
+    SCOPED_TRACE(static_cast<int>(odd[0]));
+    const std::string name = std::string("pcap:/captures/run") + odd + ".pcap";
+    Daemon d(DaemonConfig{}, std::make_unique<ReplaySource>(&trace, name, 0.0),
+             nullptr);
+    const DaemonStats stats = d.run();
+    ASSERT_EQ(stats.source, name);
+    std::string error;
+    EXPECT_TRUE(rloop::testing::is_valid_json(stats.to_json(""), &error))
+        << error;
+  }
+}
+
 TEST(Daemon, RejectsNonPowerOfTwoRing) {
   DaemonConfig config;
   config.ring_capacity = 1000;

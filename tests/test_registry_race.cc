@@ -29,9 +29,15 @@ TEST(RegistryRace, SnapshotWhileRegisteringAndUpdating) {
   // updates through the returned pointers.
   std::vector<std::thread> writers;
   std::atomic<int> ready{0};
+  // Writers start only once the exporter is inside its loop, so at least
+  // one snapshot overlaps registration however the threads are scheduled.
+  std::atomic<bool> exporting{false};
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       ready.fetch_add(1);
+      while (!exporting.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kMetricsPerWriter; ++i) {
         Counter* unique = registry.counter(
             "rloop_race_unique_total",
@@ -58,6 +64,7 @@ TEST(RegistryRace, SnapshotWhileRegisteringAndUpdating) {
   std::size_t exports = 0;
   std::thread exporter([&] {
     while (!stop.load(std::memory_order_acquire)) {
+      exporting.store(true, std::memory_order_release);
       const std::uint64_t gen_before = registry.generation();
       const auto snaps = registry.snapshot();
       // Formatting must not depend on quiescence.

@@ -4,12 +4,14 @@
 
 #include <sstream>
 
+#include "telemetry/exporter.h"
 #include "trace_builder.h"
 
 namespace rloop::core {
 namespace {
 
 using net::Ipv4Addr;
+using telemetry::json_escape;
 using rloop::testing::TraceBuilder;
 
 LoopDetectionResult sample_result() {
@@ -27,6 +29,7 @@ TEST(JsonEscape, EscapesControlAndQuotes) {
   EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
   EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json_escape("cr\r\x1f"), "cr\\r\\u001f");
 }
 
 TEST(JsonReport, ContainsSummaryAndLoops) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/loop_detector.h"
+#include "json_lite.h"
 #include "telemetry/counter.h"
 #include "telemetry/exporter.h"
 #include "trace_builder.h"
@@ -166,6 +167,19 @@ TEST(Exporter, PrometheusEscapesLabelValuesAndHelp) {
   reg2.histogram("rloop_esc_ns", {10.0}, {{"q", "a\"b"}})->observe(5);
   const std::string prom = to_prometheus(reg2.snapshot());
   EXPECT_NE(prom.find("q=\"a\\\"b\""), std::string::npos) << prom;
+}
+
+// Label values reach to_json unfiltered (paths, scenario names); a raw
+// control character in one would make the whole snapshot unparseable.
+TEST(Exporter, JsonEscapesControlCharactersInLabels) {
+  for (const char* value : {"cr\r", "soh\x01", "us\x1f", "tab\t", "nl\n"}) {
+    SCOPED_TRACE(value);
+    Registry reg;
+    reg.counter("rloop_esc_total", {{"path", value}})->inc();
+    const std::string json = to_json(reg.snapshot());
+    std::string error;
+    EXPECT_TRUE(rloop::testing::is_valid_json(json, &error)) << error << json;
+  }
 }
 
 TEST(Exporter, JsonGolden) {
