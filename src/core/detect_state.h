@@ -3,26 +3,29 @@
 // across runs.
 //
 // Open streams live in one FlatMap keyed by ReplicaKey, replica lists in an
-// arena. One candidate stream per first-seen header means millions of tiny
-// allocations per trace on a general-purpose heap; here a stream is a
-// bump-allocated node with two inline replicas (the overwhelming majority of
-// candidates never grow past one), overflowing into arena-chunked spans, all
-// reclaimed wholesale when the state is destroyed — or rewound in place by
-// reset(), which is what lets a persistent pipeline workspace run the whole
-// detect stage without heap traffic once warm.
+// arena. A stream is a bump-allocated node with two inline replicas (the
+// overwhelming majority of candidates never grow past one), overflowing into
+// arena-chunked spans, all reclaimed wholesale when the state is destroyed —
+// or rewound in place by reset(), which is what lets a persistent pipeline
+// workspace run the whole detect stage without heap traffic once warm.
 //
-// Field-identical output to the reference engine in replica_detector.cc
-// (detect_reference), including every journal event payload and every
-// counter, the expired count included: expiry is determined purely by
-// last_ts against the current record's timestamp, and both engines hold the
-// same open set at every record by induction.
+// In front of the state machine sits a RepeatMark: a record whose key hash
+// occurs once in the run is counted and skipped (see feed()). Streams, and
+// every journal event payload, are field-identical to the reference engine
+// in replica_detector.cc (detect_reference), and so are the records,
+// replicas-matched and emitted counters and the spacing histogram. The
+// opened and expired counters count candidates over the records that reach
+// the state machine — those whose key hash repeats, plus the one-offs a
+// shared mark bucket lets through — so they are at most the reference's.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/record_store.h"
 #include "core/replica_detector.h"
 #include "core/replica_key.h"
@@ -69,6 +72,49 @@ struct ReplicaChunk {
   ReplicaChunk* next = nullptr;
   std::uint32_t n = 0;
   Replica items[kCap];
+};
+
+// Which replica-key hashes occur more than once in a run. A replica is a
+// second copy of a header, so a record whose key hash occurs once can
+// neither extend a stream nor open one that ever reaches two replicas;
+// skipping it changes no stream, loop or journal event. add() every record
+// first, then ask repeated(). Buckets are the high bits of mix64(hash) —
+// independent of the low bits that pick a pipeline shard — with 16 to 32
+// buckets per record, so few one-offs share a bucket. A shared bucket only
+// lets a one-off through: the mark is conservative, never lossy.
+class RepeatMark {
+ public:
+  // Sizes for `records` add() calls and clears every bucket. Capacity is
+  // kept, so a warm pipeline shard's mark allocates nothing.
+  void reset(std::size_t records) {
+    const std::size_t buckets = std::bit_ceil(std::max<std::size_t>(
+                                    records, 8)) * kBucketsPerRecord;
+    shift_ = 64 - std::countr_zero(buckets);
+    words_.assign(2 * (buckets / 64), 0);
+  }
+
+  void add(std::uint64_t key_hash) {
+    const std::size_t b = bucket(key_hash);
+    std::uint64_t* pair = &words_[2 * (b / 64)];
+    const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+    pair[1] |= pair[0] & bit;  // seen before: now repeated
+    pair[0] |= bit;
+  }
+
+  bool repeated(std::uint64_t key_hash) const {
+    const std::size_t b = bucket(key_hash);
+    return ((words_[2 * (b / 64) + 1] >> (b % 64)) & 1) != 0;
+  }
+
+  std::size_t bucket(std::uint64_t key_hash) const {
+    return static_cast<std::size_t>(mix64(key_hash) >> shift_);
+  }
+
+ private:
+  static constexpr std::size_t kBucketsPerRecord = 16;
+  // Interleaved (seen, repeated) word pairs: one cache line per probe.
+  std::vector<std::uint64_t> words_;
+  int shift_ = 64;
 };
 
 // One open candidate stream. Several can be open for one key (IP ID reuse
@@ -156,14 +202,17 @@ struct FlatDetectState {
   telemetry::Histogram* spacing = nullptr;
   telemetry::DecisionLog* journal = nullptr;
 
+  // Filled by the caller (reset + add over the run's key hashes) before the
+  // first feed(); a pipeline shard marks only the hashes it owns.
+  RepeatMark mark;
   util::Arena arena;
   util::FlatMap<ReplicaKey, FlatOpenStream*, ReplicaKeyHash> open;
   std::vector<ReplicaStream> closed;
   LocalCounts counts;
 
-  // Periodic sweep keeps the open table bounded by the packet arrival rate
-  // times the stream timeout rather than by the trace length: most entries
-  // are ordinary packets that never produce a replica. Sweep timing affects
+  // Periodic sweep keeps the open table bounded by the arrival rate of
+  // marked records times the stream timeout rather than by the trace length:
+  // most entries still never produce a replica. Sweep timing affects
   // only memory and the expired counter, never which streams are emitted: a
   // timed-out stream can no longer be extended (the per-key expiry check
   // below closes it before any extension attempt).
@@ -211,9 +260,20 @@ struct FlatDetectState {
     return kept;
   }
 
-  // `key` must be make_replica_key over record i's captured bytes; the
-  // caller supplies it built from the store's precomputed hash column, so
-  // FNV runs exactly once per record on every path.
+  // Feeds parsed record i (store.ok(i)): through the state machine when
+  // its key hash is marked repeated, otherwise it is only counted. The key
+  // is built from the store's precomputed hash column, so FNV runs exactly
+  // once per record on every path.
+  void feed(const RecordStore& store, std::size_t i) {
+    const std::uint64_t hash = store.key_hash(i);
+    if (!mark.repeated(hash)) {
+      ++counts.records;
+      return;
+    }
+    process(store, i, make_replica_key(store.bytes(i), hash));
+  }
+
+  // `key` must be make_replica_key over record i's captured bytes.
   void process(const RecordStore& store, std::size_t i,
                const ReplicaKey& key) {
     ++counts.records;

@@ -41,7 +41,8 @@ struct LoopDetectorConfig {
   telemetry::Registry* registry = nullptr;
   // Optional span sink: a root "detect_loops" span, one span per stage
   // (parse/columnize/detect/validate/merge), and one span per parallel_for
-  // task (parse_chunk/hash_chunk/detect_shard/validate_shard/merge_shard),
+  // task (parse_chunk/mark_shards/detect_chunk/detect_shard/validate_shard/
+  // merge_shard),
   // exportable as Chrome trace-event JSON (TraceSink::chrome_trace_json).
   // Null costs one predictable branch per would-be span.
   telemetry::TraceSink* trace = nullptr;

@@ -61,11 +61,13 @@ inline unsigned shard_of_prefix(const net::Prefix& prefix,
 // Resolves one rloop_pipeline_shard_latency_ns{stage, shard} histogram per
 // shard into `out` (all null without a registry). The sharded detect,
 // validate and merge stages each time their shards through this, so the
-// family is named once.
+// family is named once. Without a registry it builds no label sets, so a
+// warm pipeline run without telemetry allocates nothing here.
 inline void shard_latency_histograms(telemetry::Registry* registry,
                                      const char* stage, unsigned num_shards,
                                      std::vector<telemetry::Histogram*>& out) {
   out.assign(num_shards, nullptr);
+  if (registry == nullptr) return;
   for (unsigned s = 0; s < num_shards; ++s) {
     out[s] = telemetry::get_histogram(
         registry, "rloop_pipeline_shard_latency_ns",

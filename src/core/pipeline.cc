@@ -28,8 +28,8 @@ namespace {
 // Records per epoch. Large enough that per-epoch synchronization (one ring
 // push per worker per epoch) is noise against the per-record work; small
 // enough that the driver's read-ahead (at most kRingDepth epochs per worker)
-// keeps the hash/shard scratch it touches within cache reach of the workers
-// consuming it.
+// keeps the shard ids it touches within cache reach of the workers
+// consuming them.
 constexpr std::size_t kEpochRecords = std::size_t{1} << 15;
 constexpr std::size_t kRingDepth = 8;
 
@@ -107,8 +107,8 @@ struct PipelineWorkspace::Impl {
   std::unique_ptr<util::ThreadPool> pool;
 
   RecordStore store;
-  std::vector<std::uint64_t> hashes;      // replica_key_hash per record
-  std::vector<std::uint32_t> shard_ids;   // mix64(hash) & (num_shards - 1)
+  std::vector<std::uint32_t> shard_ids;  // mix64(key hash) & (shards - 1)
+  std::vector<std::uint32_t> shard_owner;  // shard -> worker (s % workers)
   std::vector<EpochBatch*> claimed;       // driver's per-worker batch in hand
 
   std::vector<std::unique_ptr<Lane>> lanes;                 // one per worker
@@ -148,7 +148,6 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
 
     // --- Workspace prep (all capacity-reusing once warm). -----------------
     ws.store.prepare(trace, n);
-    ws.hashes.resize(n);
     ws.shard_ids.resize(n);
     result.records.resize(n);
     if (ws.lanes.size() != num_workers) {
@@ -176,12 +175,21 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
       detector.bind(*state);
       state->reset();
     }
+    ws.shard_owner.resize(num_shards);
+    for (unsigned s = 0; s < num_shards; ++s) {
+      ws.shard_owner[s] = s % num_workers;
+    }
+    // Every shard's mark is sized for an even share of the trace: mix64
+    // spreads key hashes evenly, and the size only moves the share of
+    // one-offs a shared bucket lets through.
+    const std::size_t shard_records = (n + num_shards - 1) / num_shards;
     ws.shard_streams.resize(num_shards);
     shard_latency_histograms(reg, "detect", num_shards, ws.detect_shard_hist);
 
-    // Stage-occupancy counters: busy is time spent hashing / partitioning
-    // (driver) or parsing / detecting (workers); idle is time blocked on the
-    // rings. Accumulated locally per thread, flushed once at thread exit.
+    // Stage-occupancy counters: busy is time spent parsing / partitioning
+    // (driver) or parsing / marking / detecting (workers); idle is time
+    // blocked on the pre-pass barrier or the rings. Accumulated locally
+    // per thread, flushed once at thread exit.
     telemetry::Counter* ingest_busy = telemetry::get_counter(
         reg, "rloop_pipeline_stage_busy_ns_total", {{"stage", "ingest"}},
         "Nanoseconds a pipeline stage spent doing work");
@@ -199,22 +207,54 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     std::atomic<bool> abort{false};
     std::atomic<bool> done{false};
 
-    // --- Driver (body 0): hash, shard-assign, partition, feed. ------------
-    const auto run_driver = [&] {
-      std::uint64_t busy = 0;
-      std::uint64_t idle = 0;
-      for (std::size_t lo = 0; lo < n; lo += kEpochRecords) {
-        const std::size_t hi = std::min(n, lo + kEpochRecords);
-        const telemetry::ScopedSpan epoch_span(config.trace, "hash_chunk");
-        const std::int64_t t0 = timed ? now_ns() : 0;
+    // --- Pre-pass (every body): parse one contiguous range, then wait. ---
+    // A shard's RepeatMark needs every key hash of the trace before its
+    // first record is fed, so the front is a phase of its own: each body
+    // parses, columnizes, hashes and shard-assigns 1/num_threads of the
+    // trace — contiguous rows, so no two bodies write one cache line of
+    // the store or records[] except at a range edge — and no body goes on
+    // until all have (the counter's release/acquire pairs publish every
+    // body's rows and shard ids to every other). Returns false on abort.
+    std::atomic<unsigned> parsed{0};
+    const auto parse_pass = [&](unsigned t, std::uint64_t& busy,
+                                std::uint64_t& idle) {
+      const std::int64_t t0 = timed ? now_ns() : 0;
+      {
+        const telemetry::ScopedSpan span(config.trace, "parse_chunk");
+        const std::size_t lo = n * t / num_threads;
+        const std::size_t hi = n * (t + 1) / num_threads;
         // num_shards is 1 << shard_bits (ParallelConfig), so the modulo in
         // shard_of_key_hash is this mask.
         for (std::size_t i = lo; i < hi; ++i) {
-          const std::uint64_t h = replica_key_hash(trace[i].bytes());
-          ws.hashes[i] = h;
+          const ParsedRecord rec = parse_record(trace, i);
+          const std::uint64_t h =
+              rec.ok ? replica_key_hash(trace[i].bytes()) : 0;
+          ws.store.set_row(i, rec, h);
+          result.records[i] = rec;
           ws.shard_ids[i] =
               static_cast<std::uint32_t>(mix64(h) & (num_shards - 1));
         }
+      }
+      parsed.fetch_add(1, std::memory_order_acq_rel);
+      const std::int64_t t1 = timed ? now_ns() : 0;
+      while (parsed.load(std::memory_order_acquire) < num_threads) {
+        if (abort.load(std::memory_order_acquire)) return false;
+        std::this_thread::yield();
+      }
+      if (timed) {
+        busy += static_cast<std::uint64_t>(t1 - t0);
+        idle += static_cast<std::uint64_t>(now_ns() - t1);
+      }
+      return true;
+    };
+
+    // --- Driver (body 0): parse its range, then partition and feed. -------
+    const auto run_driver = [&] {
+      std::uint64_t busy = 0;
+      std::uint64_t idle = 0;
+      if (!parse_pass(0, busy, idle)) return;
+      for (std::size_t lo = 0; lo < n; lo += kEpochRecords) {
+        const std::size_t hi = std::min(n, lo + kEpochRecords);
         const std::int64_t t1 = timed ? now_ns() : 0;
         // Claim one batch per worker. An empty free ring means that worker
         // is kRingDepth epochs behind — waiting here is the back-pressure
@@ -230,10 +270,10 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
         }
         const std::int64_t t2 = timed ? now_ns() : 0;
         // Partition: shard s belongs to worker s % num_workers. Parse
-        // failures are not known yet (parsing happens on the worker), so
-        // every index is routed; workers skip !ok records at detect time.
+        // failures never reach the detector, so they are not routed.
         for (std::size_t i = lo; i < hi; ++i) {
-          ws.claimed[ws.shard_ids[i] % num_workers]->indices.push_back(
+          if (!ws.store.ok(i)) continue;
+          ws.claimed[ws.shard_owner[ws.shard_ids[i]]]->indices.push_back(
               static_cast<std::uint32_t>(i));
         }
         for (unsigned w = 0; w < num_workers; ++w) {
@@ -241,7 +281,7 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
         }
         if (timed) {
           const std::int64_t t3 = now_ns();
-          busy += static_cast<std::uint64_t>((t1 - t0) + (t3 - t2));
+          busy += static_cast<std::uint64_t>(t3 - t2);
           idle += static_cast<std::uint64_t>(t2 - t1);
         }
       }
@@ -250,25 +290,37 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
       telemetry::inc(ingest_idle, idle);
     };
 
-    // --- Worker (bodies 1..W): parse, columnize, detect; then finish. -----
+    // --- Worker (bodies 1..W): parse its range, mark its shards, then
+    // detect; then finish. ------------------------------------------------
     const auto run_worker = [&](unsigned w) {
       Lane& lane = *ws.lanes[w];
+      std::uint64_t parse_busy = 0;
+      std::uint64_t parse_idle = 0;
+      if (!parse_pass(w + 1, parse_busy, parse_idle)) return;
       std::uint64_t busy = 0;
       const std::int64_t t_start = timed ? now_ns() : 0;
+      {
+        // Each shard's mark is written only by its owner, here, and read
+        // only by its owner below: no handoff beyond the pre-pass barrier.
+        const telemetry::ScopedSpan span(config.trace, "mark_shards");
+        for (unsigned s = w; s < num_shards; s += num_workers) {
+          ws.states[s]->mark.reset(shard_records);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint32_t s = ws.shard_ids[i];
+          if (ws.shard_owner[s] == w && ws.store.ok(i)) {
+            ws.states[s]->mark.add(ws.store.key_hash(i));
+          }
+        }
+        if (timed) busy += static_cast<std::uint64_t>(now_ns() - t_start);
+      }
       for (;;) {
         EpochBatch* b = nullptr;
         if (lane.work.try_pop(b)) {
-          const telemetry::ScopedSpan span(config.trace, "parse_chunk");
+          const telemetry::ScopedSpan span(config.trace, "detect_chunk");
           const std::int64_t t0 = timed ? now_ns() : 0;
           for (const std::uint32_t idx : b->indices) {
-            const ParsedRecord rec = parse_record(trace, idx);
-            const std::uint64_t h = ws.hashes[idx];
-            ws.store.set_row(idx, rec, h);
-            result.records[idx] = rec;
-            if (rec.ok) {
-              ws.states[ws.shard_ids[idx]]->process(
-                  ws.store, idx, make_replica_key(ws.store.bytes(idx), h));
-            }
+            ws.states[ws.shard_ids[idx]]->feed(ws.store, idx);
           }
           lane.free.try_push(b);  // never full: see Lane
           if (timed) busy += static_cast<std::uint64_t>(now_ns() - t0);
@@ -288,19 +340,23 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
         if (timed) busy += static_cast<std::uint64_t>(now_ns() - t0);
       }
       if (timed) {
-        telemetry::inc(detect_busy, busy);
+        telemetry::inc(detect_busy, parse_busy + busy);
         telemetry::inc(detect_idle,
-                       static_cast<std::uint64_t>(now_ns() - t_start) - busy);
+                       parse_idle +
+                           static_cast<std::uint64_t>(now_ns() - t_start) -
+                           busy);
       }
     };
 
     // The counter-runner parallel_for puts every body on its own pool
-    // worker (n == pool size), so driver and workers genuinely overlap. A
-    // body that throws flips `abort` first: the driver stops feeding and
-    // every worker exits its spin, so the fan-out always joins, and
-    // parallel_for rethrows the first error after the join. Span name is
-    // null: the bodies emit their own finer-grained spans (hash_chunk /
-    // parse_chunk / detect_shard) at depth 0 in their worker's lane.
+    // worker (n == pool size), so driver and workers genuinely overlap and
+    // the pre-pass barrier cannot wait on a body that never starts. A body
+    // that throws flips `abort` first: the barrier releases, the driver
+    // stops feeding and every worker exits its spin, so the fan-out always
+    // joins, and parallel_for rethrows the first error after the join.
+    // Span name is null: the bodies emit their own finer-grained spans
+    // (parse_chunk / mark_shards / detect_chunk / detect_shard) at depth 0
+    // in their worker's lane.
     ws.pool->parallel_for(
         num_threads,
         [&](std::size_t t) {

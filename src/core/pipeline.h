@@ -6,37 +6,47 @@
 //
 // The serial path runs parse, columnize, detect, validate and merge one
 // after another. A barrier-style parallel version of that sequence would
-// join the pool between stages; on traces where parse and hash dominate,
-// the joins leave workers idle for most of the wall clock. The staged front
-// here instead fuses ingest -> parse -> columnize -> shard-detect into one
-// pass over the trace, pipelined by epoch:
+// join the pool between stages, leaving workers idle behind the slowest
+// chunk each time. Here the front — ingest -> parse -> columnize -> hash ->
+// shard-detect — is one fan-out over the trace with a single barrier:
+//
+//   every body t: parse, set_row, hash and shard-assign the contiguous
+//   range [t*n/T, (t+1)*n/T); then wait until all bodies have
 //
 //   driver (body 0)            workers (bodies 1..W)
 //   ------------------         -------------------------------------------
-//   epoch N+1: hash bytes,     epoch N: parse records, fill store rows,
-//   shard-assign,              feed each record to its shard's detect
-//   partition indices,    -->  state machine (FlatDetectState)
-//   push batch per worker      ...
+//                              mark: RepeatMark of each owned shard over
+//   epoch N+1: partition       the whole key-hash column, then
+//   indices by shard owner,    epoch N: feed each record to its shard's
+//   push batch per worker -->  detect state machine (FlatDetectState)
 //   (bounded SPSC rings)       on drain: finish() each owned shard
 //
-// The driver stays one-to-eight epochs ahead of the workers (ring depth
-// bounds the overlap and the memory), so epoch N+1's hashing runs
-// concurrently with epoch N's parse/detect instead of waiting for it.
+// The mark needs every key hash before the first record is fed (a record
+// is a one-off only if no later record shares its hash), hence the
+// barrier. Parsing in contiguous ranges keeps FNV and parsing off the
+// driver, which only partitions, and means no two bodies write one cache
+// line of the store or records[] except at a range edge. The driver stays
+// one-to-eight epochs ahead of the workers (ring depth bounds the overlap
+// and the memory).
 // Partitioning invariants:
-//  - every record index is assigned to exactly one worker (shard s of the
-//    record's replica-key hash goes to worker s % W), so every store row and
-//    every records[] slot is written exactly once, by one thread;
+//  - every parsed record index is assigned to exactly one worker (shard s
+//    of the record's replica-key hash goes to worker s % W);
 //  - all records of one shard land on one worker in trace order, so each
 //    FlatDetectState sees exactly the record sequence the serial detector
 //    feeds it, and the concatenate + sort merge reproduces the serial
-//    stream order (same argument as parallel.h).
+//    stream order (same argument as parallel.h);
+//  - a shard's mark holds exactly the key hashes of that shard's records,
+//    so a record skipped there is a one-off of the whole trace, as on the
+//    serial path (the marks differ only in which one-offs a shared bucket
+//    lets through, which moves the opened/expired candidate counts only).
 // Validate and merge each run as one sharded fan-out after the front — they
 // need the full raw-stream set — on workspace-owned scratch, so a warm run
 // allocates nothing in either stage.
 //
 // PipelineWorkspace owns everything reusable across runs: the thread pool,
 // the SoA store, the hash/shard scratch columns, the per-worker batch rings,
-// one warm FlatDetectState per shard (arena + open-table capacity persist),
+// one warm FlatDetectState per shard (arena, open-table and mark capacity
+// persist),
 // and the validator/merger scratch. It holds no telemetry between runs: the
 // pool is attached to each run's registry and span sink for that run only.
 // bench/bench_to_json.cc keeps one workspace across repetitions to pin the

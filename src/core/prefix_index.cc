@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "core/parallel.h"
 
@@ -57,34 +58,34 @@ NonLoopedIndex::NonLoopedIndex(const std::vector<ParsedRecord>& records,
   seal();
 }
 
-NonLoopedIndex::NonLoopedIndex(const RecordStore& store,
-                               const std::vector<bool>& is_member) {
-  rebuild(store, is_member);
-}
-
-void NonLoopedIndex::rebuild(const RecordStore& store,
-                             const std::vector<bool>& is_member) {
-  entries_.clear();
-  const std::size_t n = store.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!store.ok(i)) continue;
-    if (is_member[i]) continue;
-    entries_.push_back({store.dst24_key(i), store.ts(i)});
-  }
-  seal();
-}
-
 void NonLoopedIndex::rebuild(const RecordStore& store,
                              const std::vector<bool>& is_member,
+                             const std::vector<ReplicaStream>& streams,
                              unsigned shard, unsigned num_shards) {
+  // 64 scope bits per stream (rounded up to a power of two): a few KB that
+  // stay in L1 while every record is screened, and a one-in-64-or-better
+  // chance that a foreign prefix shares a bit.
+  const std::size_t bits =
+      std::bit_ceil(std::max<std::size_t>(streams.size(), 1)) * 64;
+  const int shift = 64 - std::countr_zero(bits);
+  scope_.assign(bits / 64, 0);
+  const auto scope_bit = [shift](std::uint64_t key) {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift);
+  };
+  for (const ReplicaStream& stream : streams) {
+    if (shard_of_prefix(stream.dst24, num_shards) != shard) continue;
+    const std::size_t b = scope_bit(stream.dst24.packed());
+    scope_[b / 64] |= std::uint64_t{1} << (b % 64);
+  }
+
   entries_.clear();
   const std::size_t n = store.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (!store.ok(i)) continue;
-    if (is_member[i]) continue;
-    // shard_of_prefix(prefix) is mix64(prefix.packed()) % num_shards.
-    if (mix64(store.dst24_key(i)) % num_shards != shard) continue;
-    entries_.push_back({store.dst24_key(i), store.ts(i)});
+    const std::uint64_t key = store.dst24_key(i);
+    const std::size_t b = scope_bit(key);
+    if (((scope_[b / 64] >> (b % 64)) & 1) == 0) continue;
+    if (!store.ok(i) || is_member[i]) continue;
+    entries_.push_back({key, store.ts(i)});
   }
   seal();
 }

@@ -14,6 +14,15 @@
 // rehashing), and a query is a single lower_bound over contiguous memory.
 // The key is net::Prefix::packed() — the same packing std::hash<Prefix>
 // and shard_of_prefix use.
+//
+// The store builds are scoped to the streams being judged: validation and
+// merging only ever query the /24 of a stream passed in, and a query
+// matches its key exactly, so entries for any other prefix are dead weight.
+// A small bitset over a multiplicative hash of those prefixes screens the
+// records before they are indexed; a prefix that shares a bit with a stream
+// prefix is merely indexed too, so every stream-prefix query answers as
+// the full index would. On traces where under 1% of the records loop, the
+// index (and its sort) shrinks to the streams' own prefixes.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +31,7 @@
 
 #include "core/record.h"
 #include "core/record_store.h"
+#include "core/replica_detector.h"
 #include "net/prefix.h"
 #include "net/time.h"
 
@@ -34,25 +44,23 @@ class NonLoopedIndex {
   // and rebuilds it every run, reusing entry and radix-scratch capacity.
   NonLoopedIndex() = default;
 
-  // `is_member[i]` marks record i as belonging to some replica stream.
+  // The full index over every prefix (the oracle the scoped builds are
+  // tested against). `is_member[i]` marks record i as belonging to some
+  // replica stream.
   NonLoopedIndex(const std::vector<ParsedRecord>& records,
                  const std::vector<bool>& is_member);
 
-  // Columnized equivalent: same index, built from the SoA store's dst24 /
-  // ts / ok columns (no ParsedRecord traversal).
-  NonLoopedIndex(const RecordStore& store, const std::vector<bool>& is_member);
-
-  // In-place equivalent of the store constructor: identical entries and
-  // order, but the entry vector and the radix-sort scratch keep their
-  // capacity from the previous build, so a warm rebuild allocates nothing.
-  void rebuild(const RecordStore& store, const std::vector<bool>& is_member);
-
-  // As above, restricted to records whose dst24 lands in `shard` of
-  // `num_shards` (core::shard_of_prefix). The sharded validator and merger
-  // only ever query a stream's own prefix, so the shard that owns the prefix
-  // answers exactly as the global index would.
+  // Indexes the store's parsed, non-member records whose dst24 is (or
+  // shares a scope bit with) the dst24 of a stream in `streams` whose
+  // prefix lands in `shard` of `num_shards` (core::shard_of_prefix; the
+  // default takes every stream). For each such stream prefix, first_in and
+  // any_in answer exactly as the full index does — the sharded validator
+  // and merger query each stream's prefix on the shard that owns it. The
+  // entry vector, the radix-sort scratch and the scope bitset keep their
+  // capacity across rebuilds, so a warm rebuild allocates nothing.
   void rebuild(const RecordStore& store, const std::vector<bool>& is_member,
-               unsigned shard, unsigned num_shards);
+               const std::vector<ReplicaStream>& streams, unsigned shard = 0,
+               unsigned num_shards = 1);
 
   // Any non-looped packet to `prefix24` with timestamp in [from, to]?
   bool any_in(const net::Prefix& prefix24, net::TimeNs from,
@@ -80,6 +88,9 @@ class NonLoopedIndex {
   // Radix-sort scatter target, kept as a member so rebuild() reuses its
   // capacity (seal() ping-pongs entries_ and scratch_ per pass).
   std::vector<Entry> scratch_;
+  // rebuild()'s prefix screen, one bit set per in-scope stream prefix; a
+  // member so a warm rebuild reuses its capacity.
+  std::vector<std::uint64_t> scope_;
 };
 
 }  // namespace rloop::core

@@ -65,10 +65,12 @@ ReplicaDetector::ReplicaDetector(ReplicaDetectorConfig config,
           "Observations matched into an existing replica stream")),
       m_streams_opened_(telemetry::get_counter(
           registry, "rloop_detector_streams_opened_total", {},
-          "Candidate streams opened (one per first-seen header)")),
+          "Candidate streams opened by records whose key hash is marked "
+          "repeated (a header seen once in the trace opens none)")),
       m_streams_expired_(telemetry::get_counter(
           registry, "rloop_detector_streams_expired_total", {},
-          "Candidate streams closed by the stream timeout")),
+          "Candidate streams (as counted by streams_opened) closed by the "
+          "stream timeout")),
       m_streams_emitted_(telemetry::get_counter(
           registry, "rloop_detector_streams_emitted_total", {},
           "Closed streams with >= 2 replicas handed to validation")),
@@ -238,10 +240,12 @@ std::vector<ReplicaStream> ReplicaDetector::detect(
   FlatDetectState state;
   bind(state);
   const std::size_t n = store.size();
+  state.mark.reset(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!store.ok(i)) continue;
-    state.process(store, i,
-                  make_replica_key(store.bytes(i), store.key_hash(i)));
+    if (store.ok(i)) state.mark.add(store.key_hash(i));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (store.ok(i)) state.feed(store, i);
   }
   auto closed = state.finish();
   publish(state.counts);

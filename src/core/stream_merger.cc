@@ -180,7 +180,8 @@ std::vector<RoutingLoop> StreamMerger::merge(
     const RecordStore& store,
     const std::vector<ReplicaStream>& valid_streams) const {
   const auto member = stream_membership(store.size(), valid_streams);
-  const NonLoopedIndex index(store, member);
+  NonLoopedIndex index;
+  index.rebuild(store, member, valid_streams);
   return merge_with_index(index, valid_streams);
 }
 
@@ -208,7 +209,8 @@ std::vector<RoutingLoop> StreamMerger::merge_sharded(
   stream_membership(store.size(), valid_streams, scratch.membership);
   if (num_shards < 2) {
     scratch.shard_indexes.resize(1);
-    scratch.shard_indexes[0].rebuild(store, scratch.membership);
+    scratch.shard_indexes[0].rebuild(store, scratch.membership,
+                                     valid_streams);
     return merge_with_index(scratch.shard_indexes[0], valid_streams);
   }
   shard_latency_histograms(registry_, "merge", num_shards,
@@ -224,8 +226,8 @@ std::vector<RoutingLoop> StreamMerger::merge_sharded(
   pool.parallel_for(num_shards, [&](std::size_t s) {
     const telemetry::ScopedTimer timer(scratch.shard_latency[s]);
     NonLoopedIndex& index = scratch.shard_indexes[s];
-    index.rebuild(store, scratch.membership, static_cast<unsigned>(s),
-                  num_shards);
+    index.rebuild(store, scratch.membership, valid_streams,
+                  static_cast<unsigned>(s), num_shards);
     // Group this shard's prefixes only, with global stream indices.
     group_and_merge(
         valid_streams,

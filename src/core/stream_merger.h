@@ -71,17 +71,18 @@ class StreamMerger {
       const std::vector<ReplicaStream>& valid_streams) const;
 
   // Columnized equivalent: identical loops, with the NonLoopedIndex built
-  // from the SoA store's columns instead of ParsedRecords.
+  // from the SoA store's columns, scoped to the streams' own prefixes (the
+  // only ones a gap check queries), instead of from every ParsedRecord.
   std::vector<RoutingLoop> merge(
       const RecordStore& store,
       const std::vector<ReplicaStream>& valid_streams) const;
 
   // Sharded merge(): partitions prefixes across shards (merging is
   // independent per /24 — streams of different prefixes never merge), each
-  // shard rebuilding its scratch NonLoopedIndex over its own prefixes for
-  // the gap checks. Per-shard loops are concatenated and sorted by the same
-  // (prefix, start) total order merge() uses, so output is field-identical
-  // for any pool size and shard count. Loops' stream_indices are global
+  // shard rebuilding its scratch NonLoopedIndex over its own streams'
+  // prefixes for the gap checks. Per-shard loops are concatenated and
+  // sorted by the same (prefix, start) total order merge() uses, so output
+  // is field-identical for any pool size and shard count. Loops' stream_indices are global
   // indices into `valid_streams`, exactly as in the serial path.
   std::vector<RoutingLoop> merge_sharded(
       const RecordStore& store,

@@ -89,7 +89,8 @@ std::vector<ReplicaStream> StreamValidator::validate(
     const RecordStore& store, std::vector<ReplicaStream> streams,
     ValidationStats* stats) const {
   const auto member = stream_membership(store.size(), streams);
-  const NonLoopedIndex index(store, member);
+  NonLoopedIndex index;
+  index.rebuild(store, member, streams);
   return validate_with_index(index, std::move(streams), stats);
 }
 
@@ -129,7 +130,7 @@ std::vector<ReplicaStream> StreamValidator::validate_sharded(
   stream_membership(store.size(), streams, scratch.membership);
   if (num_shards < 2) {
     scratch.shard_indexes.resize(1);
-    scratch.shard_indexes[0].rebuild(store, scratch.membership);
+    scratch.shard_indexes[0].rebuild(store, scratch.membership, streams);
     return validate_with_index(scratch.shard_indexes[0], std::move(streams),
                                stats);
   }
@@ -148,8 +149,8 @@ std::vector<ReplicaStream> StreamValidator::validate_sharded(
   pool.parallel_for(num_shards, [&](std::size_t s) {
     const telemetry::ScopedTimer timer(scratch.shard_latency[s]);
     NonLoopedIndex& index = scratch.shard_indexes[s];
-    index.rebuild(store, scratch.membership, static_cast<unsigned>(s),
-                  num_shards);
+    index.rebuild(store, scratch.membership, streams,
+                  static_cast<unsigned>(s), num_shards);
     for (std::size_t i = 0; i < streams.size(); ++i) {
       if (shard_of_prefix(streams[i].dst24, num_shards) != s) continue;
       verdicts[i] = static_cast<std::uint8_t>(

@@ -64,15 +64,16 @@ class StreamValidator {
                                       ValidationStats* stats = nullptr) const;
 
   // Columnized equivalent: identical verdicts, with the NonLoopedIndex built
-  // from the SoA store's columns instead of ParsedRecords.
+  // from the SoA store's columns, scoped to the streams' own prefixes (the
+  // only ones a verdict queries), instead of from every ParsedRecord.
   std::vector<ReplicaStream> validate(const RecordStore& store,
                                       std::vector<ReplicaStream> streams,
                                       ValidationStats* stats = nullptr) const;
 
   // Sharded validate(): partitions by destination /24 prefix. Each shard
-  // rebuilds its scratch NonLoopedIndex restricted to its prefixes — the
-  // only prefix a stream's validation ever queries is its own dst24, so the
-  // restricted index answers identically to the global one — and records a
+  // rebuilds its scratch NonLoopedIndex scoped to its streams' prefixes —
+  // the only prefix a stream's validation ever queries is its own dst24, so
+  // the scoped index answers identically to the global one — and records a
   // keep/reject verdict per stream. Verdicts are assembled back in input
   // order, so the output (and stats) are field-identical to validate() for
   // any pool size and shard count.

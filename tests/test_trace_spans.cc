@@ -168,8 +168,9 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
   EXPECT_EQ(count_named(spans, "detect_shard"), 4u);
   EXPECT_EQ(count_named(spans, "validate_shard"), 4u);
   EXPECT_EQ(count_named(spans, "merge_shard"), 4u);
-  EXPECT_GE(count_named(spans, "parse_chunk"), 1u);
-  EXPECT_GE(count_named(spans, "hash_chunk"), 1u);
+  EXPECT_EQ(count_named(spans, "parse_chunk"), 4u);  // one per pool body
+  EXPECT_EQ(count_named(spans, "mark_shards"), 3u);  // one per worker
+  EXPECT_GE(count_named(spans, "detect_chunk"), 1u);
   // Worker-side spans are top level on their own threads (depth 0).
   for (const auto& ev : spans) {
     if (std::string(ev.name) == "detect_shard") EXPECT_EQ(ev.depth, 0u);
