@@ -350,7 +350,10 @@ struct FlatDetectState {
     }
   }
 
-  std::vector<ReplicaStream> finish() {
+  // Closes every open stream into `closed`, in the canonical order. The
+  // caller moves the streams out; `closed` itself stays, so its capacity
+  // survives reset().
+  void finish() {
     open.for_each([&](const ReplicaKey& key, FlatOpenStream*& head) {
       for (const FlatOpenStream* os = head; os != nullptr; os = os->older) {
         close_stream(key, os);
@@ -358,7 +361,6 @@ struct FlatDetectState {
     });
     open.clear();
     sort_streams(closed);
-    return std::move(closed);
   }
 };
 

@@ -25,34 +25,36 @@ struct LoopDetectorConfig {
   // Multi-threaded execution. num_threads <= 1 (the default) is the serial
   // path; > 1 runs the staged dataflow (core/pipeline.h): parse and detect
   // overlap per epoch on a ThreadPool, sharded by replica-key hash, then
-  // validate and merge fan out over the same pool, sharded by /24 prefix.
+  // validate and merge run once, through the same calls as the serial path.
   // Results are field-identical to the serial path for every thread/shard
   // count — see parallel.h for the argument and
   // tests/test_parallel_pipeline.cc for the proof harness.
   ParallelConfig parallel;
   // Optional metrics sink. When set, every stage records a wall-clock
   // latency histogram (rloop_pipeline_stage_latency_ns{stage=...}); the
-  // parallel path additionally records per-shard latency
-  // (rloop_pipeline_shard_latency_ns{stage=...,shard=...}), stage busy/idle
-  // time and thread-pool queue depth and task counts; and the stage objects
-  // register their own counters. The registry need only outlive the call,
-  // even when a workspace is reused. When null the pipeline runs with zero
-  // telemetry overhead.
+  // parallel path additionally records per-shard detect latency
+  // (rloop_pipeline_shard_latency_ns{stage="detect",shard=...}), stage
+  // busy/idle time and thread-pool queue depth and task counts; and the
+  // stage objects register their own counters. The registry need only
+  // outlive the call, even when a workspace is reused. When null the
+  // pipeline runs with zero telemetry overhead: no metric is resolved, no
+  // label set is built, and nothing is allocated for telemetry.
   telemetry::Registry* registry = nullptr;
   // Optional span sink: a root "detect_loops" span, one span per stage
-  // (parse/columnize/detect/validate/merge), and one span per parallel_for
-  // task (parse_chunk/mark_shards/detect_chunk/detect_shard/validate_shard/
-  // merge_shard),
-  // exportable as Chrome trace-event JSON (TraceSink::chrome_trace_json).
+  // (parse/columnize/detect/validate/merge; the parallel path has no
+  // parse/columnize spans, its front is one detect stage), and on the
+  // parallel path the detect front's per-body spans
+  // (parse_chunk/mark_shards/detect_chunk/detect_shard), exportable as
+  // Chrome trace-event JSON (TraceSink::chrome_trace_json).
   // Null costs one predictable branch per would-be span.
   telemetry::TraceSink* trace = nullptr;
   // Optional decision journal: every stage records its per-stream /
   // per-replica-match verdicts with typed reasons (see decision_log.h).
   telemetry::DecisionLog* journal = nullptr;
   // Optional persistent workspace for the parallel path (core/pipeline.h).
-  // The staged dataflow reuses its thread pool, SoA store, batch rings,
-  // per-shard detect states and validator/merger scratch across calls, so a
-  // warm run's steady-state allocation rate drops below the serial path's
+  // The staged dataflow reuses its thread pool, SoA store, batch rings and
+  // per-shard detect states across calls, so a warm run's steady-state
+  // allocation rate drops below the serial path's
   // (tests/test_memory_layout.cc pins this). Null makes detect_loops()
   // build a transient workspace per call; results are identical either way.
   PipelineWorkspace* workspace = nullptr;

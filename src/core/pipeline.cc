@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,6 +53,29 @@ void count_parse_failures(telemetry::Registry* registry,
                      registry, "rloop_pipeline_parse_failures_total", {},
                      "Trace records whose IP header failed to parse"),
                  result.parse_failures);
+}
+
+// Steps 2 and 3 over result.raw_streams: the one tail both offline paths
+// run once step 1 has filled `store` and the raw streams. Both are per-/24
+// range queries over the streams step 1 emitted, a small share of a run
+// next to detection, so they run on the calling thread.
+void validate_and_merge(const RecordStore& store,
+                        const LoopDetectorConfig& config,
+                        LoopDetectionResult& result) {
+  telemetry::Registry* reg = config.registry;
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
+    const telemetry::ScopedSpan span(config.trace, "validate");
+    const StreamValidator validator(config.validator, reg, config.journal);
+    result.valid_streams =
+        validator.validate(store, result.raw_streams, &result.validation);
+  }
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "merge"));
+    const telemetry::ScopedSpan span(config.trace, "merge");
+    const StreamMerger merger(config.merger, reg, config.journal);
+    result.loops = merger.merge(store, result.valid_streams);
+  }
 }
 
 std::int64_t now_ns() {
@@ -113,11 +137,7 @@ struct PipelineWorkspace::Impl {
 
   std::vector<std::unique_ptr<Lane>> lanes;                 // one per worker
   std::vector<std::unique_ptr<detail::FlatDetectState>> states;  // per shard
-  std::vector<std::vector<ReplicaStream>> shard_streams;
   std::vector<telemetry::Histogram*> detect_shard_hist;
-
-  ValidatorScratch validator_scratch;
-  MergerScratch merger_scratch;
 };
 
 PipelineWorkspace::PipelineWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -176,15 +196,19 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
       state->reset();
     }
     ws.shard_owner.resize(num_shards);
+    ws.detect_shard_hist.resize(num_shards);
     for (unsigned s = 0; s < num_shards; ++s) {
       ws.shard_owner[s] = s % num_workers;
+      ws.detect_shard_hist[s] = telemetry::get_histogram(
+          reg, "rloop_pipeline_shard_latency_ns",
+          telemetry::latency_bounds_ns(),
+          {{"stage", "detect"}, {"shard", std::to_string(s)}},
+          "Wall-clock latency of one pipeline shard per sharded call");
     }
     // Every shard's mark is sized for an even share of the trace: mix64
     // spreads key hashes evenly, and the size only moves the share of
     // one-offs a shared bucket lets through.
     const std::size_t shard_records = (n + num_shards - 1) / num_shards;
-    ws.shard_streams.resize(num_shards);
-    shard_latency_histograms(reg, "detect", num_shards, ws.detect_shard_hist);
 
     // Stage-occupancy counters: busy is time spent parsing / partitioning
     // (driver) or parsing / marking / detecting (workers); idle is time
@@ -223,8 +247,8 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
         const telemetry::ScopedSpan span(config.trace, "parse_chunk");
         const std::size_t lo = n * t / num_threads;
         const std::size_t hi = n * (t + 1) / num_threads;
-        // num_shards is 1 << shard_bits (ParallelConfig), so the modulo in
-        // shard_of_key_hash is this mask.
+        // num_shards is 1 << shard_bits (ParallelConfig), so the mask
+        // picks a shard uniformly.
         for (std::size_t i = lo; i < hi; ++i) {
           const ParsedRecord rec = parse_record(trace, i);
           const std::uint64_t h =
@@ -336,7 +360,7 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
         const telemetry::ScopedSpan span(config.trace, "detect_shard");
         const telemetry::ScopedTimer shard_timer(ws.detect_shard_hist[s]);
         const std::int64_t t0 = timed ? now_ns() : 0;
-        ws.shard_streams[s] = ws.states[s]->finish();
+        ws.states[s]->finish();
         if (timed) busy += static_cast<std::uint64_t>(now_ns() - t0);
       }
       if (timed) {
@@ -378,11 +402,12 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     std::size_t total_streams = 0;
     for (unsigned s = 0; s < num_shards; ++s) {
       counts.add(ws.states[s]->counts);
-      total_streams += ws.shard_streams[s].size();
+      total_streams += ws.states[s]->closed.size();
     }
     result.raw_streams.reserve(total_streams);
     for (unsigned s = 0; s < num_shards; ++s) {
-      std::move(ws.shard_streams[s].begin(), ws.shard_streams[s].end(),
+      std::vector<ReplicaStream>& closed = ws.states[s]->closed;
+      std::move(closed.begin(), closed.end(),
                 std::back_inserter(result.raw_streams));
     }
     detail::sort_streams(result.raw_streams);
@@ -392,23 +417,7 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
 
   result.total_records = n;
   count_parse_failures(reg, result);
-
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
-    const telemetry::ScopedSpan span(config.trace, "validate");
-    const StreamValidator validator(config.validator, reg, config.journal);
-    result.valid_streams = validator.validate_sharded(
-        ws.store, result.raw_streams, *ws.pool, num_shards,
-        ws.validator_scratch, &result.validation);
-  }
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "merge"));
-    const telemetry::ScopedSpan span(config.trace, "merge");
-    const StreamMerger merger(config.merger, reg, config.journal);
-    result.loops =
-        merger.merge_sharded(ws.store, result.valid_streams, *ws.pool,
-                             num_shards, ws.merger_scratch);
-  }
+  validate_and_merge(ws.store, config, result);
   return result;
 }
 
@@ -459,19 +468,7 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
     const ReplicaDetector detector(config.detector, reg, config.journal);
     result.raw_streams = detector.detect(store);
   }
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
-    const telemetry::ScopedSpan span(config.trace, "validate");
-    const StreamValidator validator(config.validator, reg, config.journal);
-    result.valid_streams =
-        validator.validate(store, result.raw_streams, &result.validation);
-  }
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "merge"));
-    const telemetry::ScopedSpan span(config.trace, "merge");
-    const StreamMerger merger(config.merger, reg, config.journal);
-    result.loops = merger.merge(store, result.valid_streams);
-  }
+  validate_and_merge(store, config, result);
   return result;
 }
 

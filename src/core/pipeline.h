@@ -34,20 +34,20 @@
 //  - all records of one shard land on one worker in trace order, so each
 //    FlatDetectState sees exactly the record sequence the serial detector
 //    feeds it, and the concatenate + sort merge reproduces the serial
-//    stream order (same argument as parallel.h);
+//    stream order (the argument in parallel.h);
 //  - a shard's mark holds exactly the key hashes of that shard's records,
 //    so a record skipped there is a one-off of the whole trace, as on the
 //    serial path (the marks differ only in which one-offs a shared bucket
 //    lets through, which moves the opened/expired candidate counts only).
-// Validate and merge each run as one sharded fan-out after the front — they
-// need the full raw-stream set — on workspace-owned scratch, so a warm run
-// allocates nothing in either stage.
+// Validate and merge then run once on the calling thread, through the same
+// validate_and_merge tail the serial path runs: they need the full
+// raw-stream set, and they query only the /24s of the few streams the front
+// emits, so a fan-out would cost more than it saves.
 //
 // PipelineWorkspace owns everything reusable across runs: the thread pool,
 // the SoA store, the hash/shard scratch columns, the per-worker batch rings,
-// one warm FlatDetectState per shard (arena, open-table and mark capacity
-// persist),
-// and the validator/merger scratch. It holds no telemetry between runs: the
+// and one warm FlatDetectState per shard (arena, open-table and mark
+// capacity persist). It holds no telemetry between runs: the
 // pool is attached to each run's registry and span sink for that run only.
 // bench/bench_to_json.cc keeps one workspace across repetitions to pin the
 // steady-state allocation rate; detect_loops() creates a transient one when

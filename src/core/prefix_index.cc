@@ -4,8 +4,6 @@
 #include <array>
 #include <bit>
 
-#include "core/parallel.h"
-
 namespace rloop::core {
 
 void NonLoopedIndex::seal() {
@@ -60,8 +58,7 @@ NonLoopedIndex::NonLoopedIndex(const std::vector<ParsedRecord>& records,
 
 void NonLoopedIndex::rebuild(const RecordStore& store,
                              const std::vector<bool>& is_member,
-                             const std::vector<ReplicaStream>& streams,
-                             unsigned shard, unsigned num_shards) {
+                             const std::vector<ReplicaStream>& streams) {
   // 64 scope bits per stream (rounded up to a power of two): a few KB that
   // stay in L1 while every record is screened, and a one-in-64-or-better
   // chance that a foreign prefix shares a bit.
@@ -73,7 +70,6 @@ void NonLoopedIndex::rebuild(const RecordStore& store,
     return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift);
   };
   for (const ReplicaStream& stream : streams) {
-    if (shard_of_prefix(stream.dst24, num_shards) != shard) continue;
     const std::size_t b = scope_bit(stream.dst24.packed());
     scope_[b / 64] |= std::uint64_t{1} << (b % 64);
   }

@@ -13,7 +13,7 @@
 // append-only pass plus one sort (no per-prefix node allocation or
 // rehashing), and a query is a single lower_bound over contiguous memory.
 // The key is net::Prefix::packed() — the same packing std::hash<Prefix>
-// and shard_of_prefix use.
+// uses.
 //
 // The store builds are scoped to the streams being judged: validation and
 // merging only ever query the /24 of a stream passed in, and a query
@@ -40,8 +40,6 @@ namespace rloop::core {
 class NonLoopedIndex {
  public:
   // An empty index that answers "no" to every query; fill it with rebuild().
-  // The pipeline workspace keeps one default-constructed index per shard
-  // and rebuilds it every run, reusing entry and radix-scratch capacity.
   NonLoopedIndex() = default;
 
   // The full index over every prefix (the oracle the scoped builds are
@@ -51,16 +49,13 @@ class NonLoopedIndex {
                  const std::vector<bool>& is_member);
 
   // Indexes the store's parsed, non-member records whose dst24 is (or
-  // shares a scope bit with) the dst24 of a stream in `streams` whose
-  // prefix lands in `shard` of `num_shards` (core::shard_of_prefix; the
-  // default takes every stream). For each such stream prefix, first_in and
-  // any_in answer exactly as the full index does — the sharded validator
-  // and merger query each stream's prefix on the shard that owns it. The
-  // entry vector, the radix-sort scratch and the scope bitset keep their
-  // capacity across rebuilds, so a warm rebuild allocates nothing.
+  // shares a scope bit with) the dst24 of a stream in `streams`. For each
+  // stream prefix, first_in and any_in answer exactly as the full index
+  // does. The entry vector, the radix-sort scratch and the scope bitset
+  // keep their capacity across rebuilds, so a warm rebuild allocates
+  // nothing.
   void rebuild(const RecordStore& store, const std::vector<bool>& is_member,
-               const std::vector<ReplicaStream>& streams, unsigned shard = 0,
-               unsigned num_shards = 1);
+               const std::vector<ReplicaStream>& streams);
 
   // Any non-looped packet to `prefix24` with timestamp in [from, to]?
   bool any_in(const net::Prefix& prefix24, net::TimeNs from,

@@ -247,9 +247,9 @@ std::vector<ReplicaStream> ReplicaDetector::detect(
   for (std::size_t i = 0; i < n; ++i) {
     if (store.ok(i)) state.feed(store, i);
   }
-  auto closed = state.finish();
+  state.finish();
   publish(state.counts);
-  return closed;
+  return std::move(state.closed);
 }
 
 std::vector<ReplicaStream> ReplicaDetector::detect(
@@ -271,20 +271,13 @@ std::vector<ReplicaStream> ReplicaDetector::detect_reference(
 
 std::vector<bool> stream_membership(std::size_t record_count,
                                     const std::vector<ReplicaStream>& streams) {
-  std::vector<bool> member;
-  stream_membership(record_count, streams, member);
-  return member;
-}
-
-void stream_membership(std::size_t record_count,
-                       const std::vector<ReplicaStream>& streams,
-                       std::vector<bool>& out) {
-  out.assign(record_count, false);
+  std::vector<bool> member(record_count, false);
   for (const auto& stream : streams) {
     for (const auto& replica : stream.replicas) {
-      out[replica.record_index] = true;
+      member[replica.record_index] = true;
     }
   }
+  return member;
 }
 
 }  // namespace rloop::core

@@ -134,10 +134,4 @@ class ReplicaDetector {
 std::vector<bool> stream_membership(std::size_t record_count,
                                     const std::vector<ReplicaStream>& streams);
 
-// In-place equivalent: fills `out` (reusing its capacity) instead of
-// allocating a fresh vector. Used by the pipeline workspace.
-void stream_membership(std::size_t record_count,
-                       const std::vector<ReplicaStream>& streams,
-                       std::vector<bool>& out);
-
 }  // namespace rloop::core

@@ -17,7 +17,6 @@
 #include "net/time.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
-#include "util/thread_pool.h"
 
 namespace rloop::core {
 
@@ -37,20 +36,6 @@ struct RoutingLoop {
 
 struct MergerConfig {
   net::TimeNs merge_gap = net::kMinute;
-};
-
-// Reusable buffers for merge_sharded(): the membership bitmap, one
-// NonLoopedIndex per shard (rebuilt in place), per-shard grouping scratch
-// and output vectors, and the resolved shard-latency histogram pointers. A
-// warm call reuses all of their capacity.
-struct MergerScratch {
-  std::vector<bool> membership;
-  std::vector<NonLoopedIndex> shard_indexes;
-  std::vector<std::vector<std::uint32_t>> shard_order;
-  std::vector<std::vector<std::uint32_t>> shard_group;
-  std::vector<std::vector<RoutingLoop>> shard_loops;
-  std::vector<std::uint64_t> shard_merges;
-  std::vector<telemetry::Histogram*> shard_latency;
 };
 
 class StreamMerger {
@@ -73,32 +58,20 @@ class StreamMerger {
   // Columnized equivalent: identical loops, with the NonLoopedIndex built
   // from the SoA store's columns, scoped to the streams' own prefixes (the
   // only ones a gap check queries), instead of from every ParsedRecord.
+  // Both offline paths (serial and pipelined detect_loops) run this
+  // overload.
   std::vector<RoutingLoop> merge(
       const RecordStore& store,
       const std::vector<ReplicaStream>& valid_streams) const;
 
-  // Sharded merge(): partitions prefixes across shards (merging is
-  // independent per /24 — streams of different prefixes never merge), each
-  // shard rebuilding its scratch NonLoopedIndex over its own streams'
-  // prefixes for the gap checks. Per-shard loops are concatenated and
-  // sorted by the same (prefix, start) total order merge() uses, so output
-  // is field-identical for any pool size and shard count. Loops' stream_indices are global
-  // indices into `valid_streams`, exactly as in the serial path.
-  std::vector<RoutingLoop> merge_sharded(
-      const RecordStore& store,
-      const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-      unsigned num_shards, MergerScratch& scratch) const;
-
  private:
-  // The serial merge loop, shared by both merge() overloads (they differ
-  // only in how the NonLoopedIndex is built) and by merge_sharded() when
-  // there is a single shard.
+  // The merge loop, shared by both merge() overloads (they differ only in
+  // how the NonLoopedIndex is built).
   std::vector<RoutingLoop> merge_with_index(
       const NonLoopedIndex& index,
       const std::vector<ReplicaStream>& valid_streams) const;
 
   MergerConfig config_;
-  telemetry::Registry* registry_ = nullptr;
   telemetry::DecisionLog* journal_ = nullptr;
   telemetry::Counter* m_merges_ = nullptr;
   telemetry::Counter* m_loops_ = nullptr;

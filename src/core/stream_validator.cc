@@ -2,15 +2,12 @@
 
 #include <cstdint>
 
-#include "core/parallel.h"
-
 namespace rloop::core {
 
 StreamValidator::StreamValidator(ValidatorConfig config,
                                  telemetry::Registry* registry,
                                  telemetry::DecisionLog* journal)
     : config_(config),
-      registry_(registry),
       journal_(journal),
       m_accepted_(telemetry::get_counter(
           registry, "rloop_validator_streams_accepted_total", {},
@@ -119,65 +116,6 @@ std::vector<ReplicaStream> StreamValidator::validate_with_index(
         break;
     }
   }
-  if (stats) *stats = local;
-  return valid;
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_sharded(
-    const RecordStore& store, std::vector<ReplicaStream> streams,
-    util::ThreadPool& pool, unsigned num_shards, ValidatorScratch& scratch,
-    ValidationStats* stats) const {
-  stream_membership(store.size(), streams, scratch.membership);
-  if (num_shards < 2) {
-    scratch.shard_indexes.resize(1);
-    scratch.shard_indexes[0].rebuild(store, scratch.membership, streams);
-    return validate_with_index(scratch.shard_indexes[0], std::move(streams),
-                               stats);
-  }
-  ValidationStats local;
-  local.input_streams = streams.size();
-
-  // Each shard judges the streams whose prefix it owns, against an index of
-  // its own prefixes only. Verdict slots are disjoint across shards.
-  // Verdicts live in a byte buffer so the scratch can own it without
-  // exposing the Verdict enum.
-  std::vector<std::uint8_t>& verdicts = scratch.verdicts;
-  verdicts.assign(streams.size(), static_cast<std::uint8_t>(Verdict::keep));
-  scratch.shard_indexes.resize(num_shards);
-  shard_latency_histograms(registry_, "validate", num_shards,
-                           scratch.shard_latency);
-  pool.parallel_for(num_shards, [&](std::size_t s) {
-    const telemetry::ScopedTimer timer(scratch.shard_latency[s]);
-    NonLoopedIndex& index = scratch.shard_indexes[s];
-    index.rebuild(store, scratch.membership, streams,
-                  static_cast<unsigned>(s), num_shards);
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (shard_of_prefix(streams[i].dst24, num_shards) != s) continue;
-      verdicts[i] = static_cast<std::uint8_t>(
-          judge(streams[i], config_.min_replicas, index, journal_));
-    }
-  }, "validate_shard");
-
-  // Serial assembly in input order reproduces validate()'s output exactly.
-  std::vector<ReplicaStream> valid;
-  valid.reserve(streams.size());
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    switch (static_cast<Verdict>(verdicts[i])) {
-      case Verdict::too_small:
-        ++local.rejected_too_small;
-        break;
-      case Verdict::prefix_conflict:
-        ++local.rejected_prefix_conflict;
-        break;
-      case Verdict::keep:
-        ++local.accepted;
-        valid.push_back(std::move(streams[i]));
-        break;
-    }
-  }
-  telemetry::inc(m_accepted_, local.accepted);
-  telemetry::inc(m_rejected_small_, local.rejected_too_small);
-  telemetry::inc(m_rejected_conflict_, local.rejected_prefix_conflict);
   if (stats) *stats = local;
   return valid;
 }

@@ -18,7 +18,6 @@
 #include "core/replica_detector.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
-#include "util/thread_pool.h"
 
 namespace rloop::core {
 
@@ -32,17 +31,6 @@ struct ValidationStats {
   std::uint64_t rejected_too_small = 0;
   std::uint64_t rejected_prefix_conflict = 0;
   std::uint64_t accepted = 0;
-};
-
-// Reusable buffers for validate_sharded(): the membership bitmap, one
-// NonLoopedIndex per shard (rebuilt in place), the per-stream verdict array,
-// and the resolved shard-latency histogram pointers. A warm call allocates
-// nothing.
-struct ValidatorScratch {
-  std::vector<bool> membership;
-  std::vector<NonLoopedIndex> shard_indexes;
-  std::vector<std::uint8_t> verdicts;
-  std::vector<telemetry::Histogram*> shard_latency;
 };
 
 class StreamValidator {
@@ -65,33 +53,20 @@ class StreamValidator {
 
   // Columnized equivalent: identical verdicts, with the NonLoopedIndex built
   // from the SoA store's columns, scoped to the streams' own prefixes (the
-  // only ones a verdict queries), instead of from every ParsedRecord.
+  // only ones a verdict queries), instead of from every ParsedRecord. Both
+  // offline paths (serial and pipelined detect_loops) run this overload.
   std::vector<ReplicaStream> validate(const RecordStore& store,
                                       std::vector<ReplicaStream> streams,
                                       ValidationStats* stats = nullptr) const;
 
-  // Sharded validate(): partitions by destination /24 prefix. Each shard
-  // rebuilds its scratch NonLoopedIndex scoped to its streams' prefixes —
-  // the only prefix a stream's validation ever queries is its own dst24, so
-  // the scoped index answers identically to the global one — and records a
-  // keep/reject verdict per stream. Verdicts are assembled back in input
-  // order, so the output (and stats) are field-identical to validate() for
-  // any pool size and shard count.
-  std::vector<ReplicaStream> validate_sharded(
-      const RecordStore& store, std::vector<ReplicaStream> streams,
-      util::ThreadPool& pool, unsigned num_shards, ValidatorScratch& scratch,
-      ValidationStats* stats = nullptr) const;
-
  private:
-  // The serial verdict loop, shared by both validate() overloads (they
-  // differ only in how the NonLoopedIndex is built) and by
-  // validate_sharded() when there is a single shard.
+  // The verdict loop, shared by both validate() overloads (they differ
+  // only in how the NonLoopedIndex is built).
   std::vector<ReplicaStream> validate_with_index(
       const NonLoopedIndex& index, std::vector<ReplicaStream> streams,
       ValidationStats* stats) const;
 
   ValidatorConfig config_;
-  telemetry::Registry* registry_ = nullptr;
   telemetry::DecisionLog* journal_ = nullptr;
   telemetry::Counter* m_accepted_ = nullptr;
   telemetry::Counter* m_rejected_small_ = nullptr;

@@ -133,14 +133,19 @@ inline std::vector<double> exponential_bounds(double start, double factor,
 }
 
 // Default boundaries for wall-clock latency histograms: 1 us .. ~16 s.
-inline std::vector<double> latency_bounds_ns() {
-  return exponential_bounds(1e3, 4.0, 12);
+// Built once per process, so resolving a histogram against them without a
+// registry allocates nothing.
+inline const std::vector<double>& latency_bounds_ns() {
+  static const std::vector<double> bounds = exponential_bounds(1e3, 4.0, 12);
+  return bounds;
 }
 
 // Default boundaries for inter-packet / inter-replica spacing in ns:
-// 10 us .. ~160 s (loop replica spacing is dominated by cycle RTT).
-inline std::vector<double> spacing_bounds_ns() {
-  return exponential_bounds(1e4, 4.0, 12);
+// 10 us .. ~160 s (loop replica spacing is dominated by cycle RTT). Built
+// once per process, like latency_bounds_ns().
+inline const std::vector<double>& spacing_bounds_ns() {
+  static const std::vector<double> bounds = exponential_bounds(1e4, 4.0, 12);
+  return bounds;
 }
 
 }  // namespace rloop::telemetry

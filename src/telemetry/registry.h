@@ -15,11 +15,13 @@
 // (benchmarked in bench/micro_detector.cc).
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "telemetry/counter.h"
@@ -81,20 +83,35 @@ class Registry {
   std::uint64_t generation_ = 0;
 };
 
+// Label pairs as written at a resolve call site, e.g. {{"stage", "detect"}}.
+// The helpers below copy them into a LabelSet only after the null check, so
+// resolving a labelled metric without a registry allocates nothing.
+using LabelRefs =
+    std::initializer_list<std::pair<std::string_view, std::string_view>>;
+
+namespace detail {
+inline LabelSet to_label_set(LabelRefs labels) {
+  LabelSet out;
+  out.reserve(labels.size());
+  for (const auto& [key, value] : labels) out.emplace_back(key, value);
+  return out;
+}
+}  // namespace detail
+
 // Null-tolerant resolve helpers, mirroring counter.h's update helpers.
 inline Counter* get_counter(Registry* r, std::string_view name,
-                            LabelSet labels = {}, std::string_view help = "") {
-  return r ? r->counter(name, std::move(labels), help) : nullptr;
+                            LabelRefs labels = {}, std::string_view help = "") {
+  return r ? r->counter(name, detail::to_label_set(labels), help) : nullptr;
 }
 inline Gauge* get_gauge(Registry* r, std::string_view name,
-                        LabelSet labels = {}, std::string_view help = "") {
-  return r ? r->gauge(name, std::move(labels), help) : nullptr;
+                        LabelRefs labels = {}, std::string_view help = "") {
+  return r ? r->gauge(name, detail::to_label_set(labels), help) : nullptr;
 }
 inline Histogram* get_histogram(Registry* r, std::string_view name,
-                                std::vector<double> bounds,
-                                LabelSet labels = {},
+                                const std::vector<double>& bounds,
+                                LabelRefs labels = {},
                                 std::string_view help = "") {
-  return r ? r->histogram(name, std::move(bounds), std::move(labels), help)
+  return r ? r->histogram(name, bounds, detail::to_label_set(labels), help)
            : nullptr;
 }
 

@@ -21,7 +21,6 @@
 
 #include "core/detect_state.h"
 #include "core/loop_detector.h"
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/prefix_index.h"
 #include "core/record.h"
@@ -88,6 +87,14 @@ namespace {
 
 using rloop::testing::TraceBuilder;
 using rloop::testing::expect_equal_stream_vectors;
+
+// Heap allocations (every operator new form above) made while `fn` runs.
+template <typename Fn>
+std::uint64_t allocations_during(Fn&& fn) {
+  const auto before = g_alloc_count.load(std::memory_order_relaxed);
+  fn();
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
 
 // A trace mixing every branch of the per-key state machine: clean loops,
 // equal-TTL duplicates, TTL increases, timeout splits, malformed records,
@@ -588,23 +595,21 @@ TEST(MemoryLayout, ScopedFlatIndexAnswersStreamPrefixesLikeFullIndex) {
   const std::vector<ReplicaStream> scope(
       streams.begin(),
       streams.begin() + static_cast<std::ptrdiff_t>(streams.size() / 2));
-  NonLoopedIndex serial;
-  serial.rebuild(store, member, scope);
-  EXPECT_LT(serial.entry_count(), full.entry_count())
+  NonLoopedIndex scoped;
+  scoped.rebuild(store, member, scope);
+  EXPECT_LT(scoped.entry_count(), full.entry_count())
       << "the fixture must leave prefixes out of scope";
 
-  constexpr unsigned kShards = 4;
-  std::vector<NonLoopedIndex> shards(kShards);
-  for (unsigned s = 0; s < kShards; ++s) {
-    shards[s].rebuild(store, member, scope, s, kShards);
-  }
-  // A second rebuild into warm capacity must answer the same.
-  shards[1].rebuild(store, member, scope, 1, kShards);
+  // A rebuild into warm capacity, over a scope holding the first one's
+  // streams and more, must answer the same.
+  NonLoopedIndex warm;
+  warm.rebuild(store, member, streams);
+  warm.rebuild(store, member, scope);
+  EXPECT_EQ(warm.entry_count(), scoped.entry_count());
 
   std::size_t queries = 0;
   for (const ReplicaStream& stream : scope) {
     const net::Prefix& p = stream.dst24;
-    const unsigned s = shard_of_prefix(p, kShards);
     for (std::size_t i = 0; i < records.size(); ++i) {
       if (!records[i].ok || records[i].dst24 != p) continue;
       const net::TimeNs ts = records[i].ts;
@@ -614,9 +619,9 @@ TEST(MemoryLayout, ScopedFlatIndexAnswersStreamPrefixesLikeFullIndex) {
             {ts + 1, ts + net::kSecond},
             {stream.start(), stream.end()}}) {
         const auto want = full.first_in(p, from, to);
-        EXPECT_EQ(serial.first_in(p, from, to), want) << i;
-        EXPECT_EQ(shards[s].first_in(p, from, to), want) << i;
-        EXPECT_EQ(shards[s].any_in(p, from, to), want.has_value()) << i;
+        EXPECT_EQ(scoped.first_in(p, from, to), want) << i;
+        EXPECT_EQ(warm.first_in(p, from, to), want) << i;
+        EXPECT_EQ(warm.any_in(p, from, to), want.has_value()) << i;
         ++queries;
       }
     }
@@ -635,14 +640,10 @@ TEST(MemoryLayout, FlatEngineAllocatesFarLessThanReference) {
   (void)detector.detect_reference(trace, records);
   (void)detector.detect(store);
 
-  const auto count = [&](auto&& fn) {
-    const auto before = g_alloc_count.load(std::memory_order_relaxed);
-    fn();
-    return g_alloc_count.load(std::memory_order_relaxed) - before;
-  };
-  const auto ref_allocs =
-      count([&] { (void)detector.detect_reference(trace, records); });
-  const auto flat_allocs = count([&] { (void)detector.detect(store); });
+  const auto ref_allocs = allocations_during(
+      [&] { (void)detector.detect_reference(trace, records); });
+  const auto flat_allocs =
+      allocations_during([&] { (void)detector.detect(store); });
 
   // The arena + flat table exist to collapse the per-key node and per-stream
   // vector churn; require at least a 2x reduction so a regression that
@@ -650,6 +651,37 @@ TEST(MemoryLayout, FlatEngineAllocatesFarLessThanReference) {
   EXPECT_LT(flat_allocs * 2, ref_allocs)
       << "flat=" << flat_allocs << " reference=" << ref_allocs;
   EXPECT_GT(ref_allocs, 100u) << "fixture too small to measure allocation";
+}
+
+TEST(MemoryLayout, NullRegistryResolvesAllocateNothing) {
+  // "Zero telemetry overhead" without a registry includes the allocator:
+  // resolving a labelled metric must not build its label set or copy its
+  // bounds before finding there is nowhere to register it. The default
+  // bounds are built once per process, on first use.
+  (void)telemetry::latency_bounds_ns();
+  (void)telemetry::spacing_bounds_ns();
+  std::vector<const void*> resolved;
+  resolved.reserve(16);
+  const auto allocs = allocations_during([&] {
+    resolved.push_back(telemetry::get_counter(
+        nullptr, "rloop_pipeline_stage_busy_ns_total", {{"stage", "ingest"}},
+        "Nanoseconds a pipeline stage spent doing work"));
+    resolved.push_back(telemetry::get_gauge(
+        nullptr, "rloop_test_gauge", {{"stage", "detect"}, {"shard", "3"}}));
+    resolved.push_back(telemetry::get_histogram(
+        nullptr, "rloop_pipeline_stage_latency_ns",
+        telemetry::latency_bounds_ns(), {{"stage", "validate"}},
+        "Wall-clock latency of one detection-pipeline stage per call"));
+    resolved.push_back(telemetry::get_histogram(
+        nullptr, "rloop_detector_replica_spacing_ns",
+        telemetry::spacing_bounds_ns()));
+    // The stage objects resolve their (labelled) metrics on construction.
+    const ReplicaDetector detector;
+    const StreamValidator validator;
+    const StreamMerger merger;
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(std::count(resolved.begin(), resolved.end(), nullptr), 4);
 }
 
 // Warm allocations of one serial and one parallel detect_loops() call on
@@ -668,36 +700,45 @@ std::pair<std::uint64_t, std::uint64_t> warm_allocs(const net::Trace& trace) {
   (void)detect_loops(trace, parallel_config);
   (void)detect_loops(trace, parallel_config);
 
-  const auto count = [&](auto&& fn) {
-    const auto before = g_alloc_count.load(std::memory_order_relaxed);
-    fn();
-    return g_alloc_count.load(std::memory_order_relaxed) - before;
-  };
   const auto serial_allocs =
-      count([&] { (void)detect_loops(trace, serial_config); });
+      allocations_during([&] { (void)detect_loops(trace, serial_config); });
   const auto parallel_allocs =
-      count([&] { (void)detect_loops(trace, parallel_config); });
+      allocations_during([&] { (void)detect_loops(trace, parallel_config); });
   return {serial_allocs, parallel_allocs};
 }
 
 TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
   // The staged dataflow's whole point of carrying a workspace: once warm,
   // a parallel run's per-call allocation (pool reused, columns reused, batch
-  // rings reused, per-shard arenas and marks rewound in place,
-  // validator/merger scratch reused) must not exceed the serial path's —
-  // parallelism may not buy its speed with allocator churn. Two traces: the
-  // fuzz mix, where nearly every record repeats its header, and a
-  // one-off-dominated one shaped like backbone traffic, where the serial
-  // path's repeated-hash mark leaves it few candidate allocations, so any
-  // extra per-call fan-out on the parallel side shows.
+  // rings reused, per-shard arenas, marks and stream vectors rewound in
+  // place) must not exceed the serial path's — parallelism may not buy its
+  // speed with allocator churn. Two traces: the fuzz mix, where nearly
+  // every record repeats its header, and a one-off-dominated one shaped
+  // like backbone traffic, where the serial path's repeated-hash mark
+  // leaves it few candidate allocations.
+  //
+  // The parallel count is also pinned exactly, per trace: the comparison
+  // with serial has a margin that one extra fan-out (one allocation for
+  // its body) would hide. Every allocation in a warm run is a function of
+  // the input, not of thread timing, so the pins are exact. A change that
+  // moves them on purpose re-pins them here and says why.
+  struct Fixture {
+    const char* name;
+    const net::Trace* trace;
+    std::uint64_t parallel_allocs;
+  };
   TraceBuilder fuzz_builder;
   TraceBuilder one_off_builder;
-  for (const net::Trace* trace :
-       {&fuzz_trace(fuzz_builder, 202),
-        &one_off_trace(one_off_builder, 203, 100'000)}) {
-    const auto [serial_allocs, parallel_allocs] = warm_allocs(*trace);
+  for (const Fixture& f :
+       {Fixture{"fuzz", &fuzz_trace(fuzz_builder, 202), 514},
+        Fixture{"one_off", &one_off_trace(one_off_builder, 203, 100'000),
+                201}}) {
+    const auto [serial_allocs, parallel_allocs] = warm_allocs(*f.trace);
     EXPECT_LE(parallel_allocs, serial_allocs)
-        << "warm parallel=" << parallel_allocs << " serial=" << serial_allocs;
+        << f.name << ": warm parallel=" << parallel_allocs
+        << " serial=" << serial_allocs;
+    EXPECT_EQ(parallel_allocs, f.parallel_allocs)
+        << f.name << ": serial=" << serial_allocs;
     EXPECT_GT(serial_allocs, 10u) << "fixture too small to measure allocation";
   }
 }

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/loop_detector.h"
@@ -205,17 +206,28 @@ TEST(ParallelPipeline, PerShardTelemetryRegisteredAndHarmless) {
   std::size_t shard_histograms = 0;
   std::size_t busy_counters = 0;
   std::size_t idle_counters = 0;
+  double pool_tasks = -1.0;
   for (const auto& m : registry.snapshot()) {
-    if (m.name == "rloop_pipeline_shard_latency_ns") ++shard_histograms;
+    if (m.name == "rloop_threadpool_tasks_total") pool_tasks = m.value;
+    if (m.name == "rloop_pipeline_shard_latency_ns") {
+      const telemetry::LabelSet want = {
+          {"shard", std::to_string(shard_histograms)}, {"stage", "detect"}};
+      EXPECT_EQ(m.labels, want);
+      ++shard_histograms;
+    }
     if (m.name == "rloop_pipeline_stage_busy_ns_total") ++busy_counters;
     if (m.name == "rloop_pipeline_stage_idle_ns_total") ++idle_counters;
   }
-  // 4 shards x 3 sharded stages (detect, validate, merge).
-  EXPECT_EQ(shard_histograms, 12u);
+  // 4 shards x the one sharded stage (detect); validate and merge run once.
+  EXPECT_EQ(shard_histograms, 4u);
   // Staged-dataflow occupancy: busy/idle per stage (ingest driver, detect
   // workers), surfaced through the existing registry — no new endpoint.
   EXPECT_EQ(busy_counters, 2u);
   EXPECT_EQ(idle_counters, 2u);
+  // A run is exactly one fan-out, one pool task per body (4 threads): any
+  // further parallel_for shows here, even one whose body fits
+  // std::function's small buffer and so allocates nothing.
+  EXPECT_EQ(pool_tasks, 4.0);
 }
 
 // A workspace kept across calls must not carry one call's telemetry into

@@ -164,16 +164,36 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
   EXPECT_EQ(result.loops.size(), 1u);
 
   const auto spans = sink.snapshot();
-  EXPECT_EQ(count_named(spans, "detect_loops"), 1u);
+  ASSERT_EQ(count_named(spans, "detect_loops"), 1u);
   EXPECT_EQ(count_named(spans, "detect_shard"), 4u);
-  EXPECT_EQ(count_named(spans, "validate_shard"), 4u);
-  EXPECT_EQ(count_named(spans, "merge_shard"), 4u);
   EXPECT_EQ(count_named(spans, "parse_chunk"), 4u);  // one per pool body
   EXPECT_EQ(count_named(spans, "mark_shards"), 3u);  // one per worker
   EXPECT_GE(count_named(spans, "detect_chunk"), 1u);
-  // Worker-side spans are top level on their own threads (depth 0).
+  // Validate and merge run once, on the calling thread, through the tail
+  // the serial path runs: no per-shard task spans.
+  EXPECT_EQ(count_named(spans, "validate_shard"), 0u);
+  EXPECT_EQ(count_named(spans, "merge_shard"), 0u);
+  EXPECT_EQ(count_named(spans, "validate"), 1u);
+  EXPECT_EQ(count_named(spans, "merge"), 1u);
+  const SpanEvent* root = nullptr;
   for (const auto& ev : spans) {
-    if (std::string(ev.name) == "detect_shard") EXPECT_EQ(ev.depth, 0u);
+    if (std::string(ev.name) == "detect_loops") root = &ev;
+  }
+  for (const auto& ev : spans) {
+    const std::string name = ev.name;
+    // Worker-side spans are top level on their own threads (depth 0).
+    if (name == "detect_shard") {
+      EXPECT_EQ(ev.depth, 0u);
+    }
+    // The validate and merge stages nest directly under the root span.
+    if (name == "validate" || name == "merge") {
+      EXPECT_EQ(ev.depth, 1u) << name;
+      EXPECT_EQ(ev.tid, root->tid) << name;
+      EXPECT_GE(ev.start_ns, root->start_ns) << name;
+      EXPECT_LE(ev.start_ns + ev.duration_ns,
+                root->start_ns + root->duration_ns)
+          << name;
+    }
   }
   std::string error;
   EXPECT_TRUE(is_valid_json(sink.chrome_trace_json(), &error)) << error;
