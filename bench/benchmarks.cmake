@@ -1,4 +1,4 @@
-# Benchmark harnesses. Included from the top-level CMakeLists (not via
+# The paper's table, figure, ablation and future-work binaries. Included from the top-level CMakeLists (not via
 # add_subdirectory) so that ${CMAKE_BINARY_DIR}/bench contains only runnable
 # binaries: the canonical reproduction command is
 #   for b in build/bench/*; do $b; done
@@ -28,15 +28,7 @@ rloop_bench(fig9_loop_duration)
 rloop_bench(impact_loss_delay)
 rloop_bench(baseline_comparison)
 rloop_bench(ablation_detector)
-rloop_bench(micro_detector benchmark::benchmark)
-rloop_bench(memory_layout benchmark::benchmark)
-# bench_to_json doubles as the CI perf gate; its committed baseline is
-# regenerated (on quiet >=4-core hardware) with
-#   build/bench/bench_to_json --repetitions 7 --out bench/BENCH_pipeline.baseline.json
-rloop_bench(bench_to_json rloop_daemon rloop_net)
-rloop_bench(daemon_throughput benchmark::benchmark rloop_daemon)
 rloop_bench(correlation_routing rloop_correlate)
 rloop_bench(persistent_loops rloop_correlate)
 rloop_bench(ablation_sampling)
 rloop_bench(bidirectional_taps)
-rloop_bench(parallel_scaling)

@@ -49,9 +49,9 @@
 // and one warm FlatDetectState per shard (arena, open-table and mark
 // capacity persist). It holds no telemetry between runs: the
 // pool is attached to each run's registry and span sink for that run only.
-// bench/bench_to_json.cc keeps one workspace across repetitions to pin the
-// steady-state allocation rate; detect_loops() creates a transient one when
-// the config carries none.
+// Callers that run repeatedly keep one workspace across runs (the
+// allocation pins in tests/test_memory_layout.cc count a warm run);
+// detect_loops() creates a transient one when the config carries none.
 #pragma once
 
 #include <memory>

@@ -113,8 +113,8 @@ class ReplicaDetector {
 
   // The pre-flat-map engine (std::unordered_map of std::vector streams),
   // retained verbatim as the differential oracle: detect() must produce
-  // field-identical output on every input, and bench/memory_layout.cc pins
-  // the old and new engines side by side. Not used by the pipeline.
+  // field-identical output on every input (tests/test_memory_layout.cc,
+  // and rloopbench's oracle). Not used by the pipeline.
   std::vector<ReplicaStream> detect_reference(
       const net::Trace& trace,
       const std::vector<ParsedRecord>& records) const;

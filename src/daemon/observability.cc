@@ -102,13 +102,11 @@ std::string StatusSnapshot::to_json(std::uint64_t now_unix_s) const {
 // --- EventStream -----------------------------------------------------------
 
 bool EventStream::pop(std::string& out, int timeout_ms) {
+  if (q_.try_pop(out)) return true;
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
                [&] { return closed_ || !q_.empty(); });
-  if (q_.empty()) return false;
-  out = std::move(q_.front());
-  q_.pop_front();
-  return true;
+  return q_.try_pop(out);
 }
 
 bool EventStream::closed() const {
@@ -144,16 +142,20 @@ void ObservabilityHub::publish_loops(std::vector<SuspectEntry> entries,
 }
 
 void ObservabilityHub::publish_event(const std::string& line) {
+  // subs_mu_ also serializes publishers, which keeps each ring
+  // single-producer.
   std::lock_guard<std::mutex> subs_lock(subs_mu_);
   for (const auto& sub : subs_) {
-    std::unique_lock<std::mutex> lock(sub->mu_, std::try_to_lock);
-    if (!lock.owns_lock() || sub->q_.size() >= sub->capacity_) {
+    if (!sub->q_.try_push(line)) {
       sub->dropped_.fetch_add(1, std::memory_order_relaxed);
       events_dropped_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    sub->q_.push_back(line);
-    lock.unlock();
+    // Taking mu_ orders the push before the reader's next predicate check,
+    // so the notify cannot be lost. If the reader holds mu_ the publisher
+    // does not wait: a notify lost then only delays the line to the
+    // reader's next timed wake-up.
+    { std::unique_lock<std::mutex> lock(sub->mu_, std::try_to_lock); }
     sub->cv_.notify_one();
   }
 }
@@ -381,17 +383,20 @@ void ObservabilityServer::events(const net::HttpRequest&,
     return;
   }
   std::string line;
-  while (writer.alive()) {
-    if (sub->pop(line, /*timeout_ms=*/250)) {
-      std::string frame = "data: " + line + "\n\n";
-      const std::uint64_t dropped = sub->take_dropped();
-      if (dropped != 0) {
-        frame += "event: dropped\ndata: " + std::to_string(dropped) + "\n\n";
-      }
-      if (!writer.write(frame)) break;
-    } else if (sub->closed()) {
-      break;
+  for (;;) {
+    // Once the client has gone, the server is stopping or the hub is
+    // closed, wait for nothing new but still write every queued line.
+    const bool open = writer.alive();
+    if (!sub->pop(line, /*timeout_ms=*/open ? 250 : 0)) {
+      if (!open || sub->closed()) break;
+      continue;
     }
+    std::string frame = "data: " + line + "\n\n";
+    const std::uint64_t dropped = sub->take_dropped();
+    if (dropped != 0) {
+      frame += "event: dropped\ndata: " + std::to_string(dropped) + "\n\n";
+    }
+    if (!writer.write(frame)) break;
   }
   hub_->unsubscribe(sub);
 }

@@ -7,7 +7,7 @@
 // is skipped (counted) and retried next epoch; the consumer never waits.
 // Scrapers read under the full lock and therefore always see a consistent
 // snapshot (the ledger invariant holds inside any one /status response).
-// Alert fan-out to /events clients uses bounded per-client queues with
+// Alert fan-out to /events clients uses bounded per-client SPSC rings with
 // drop-newest accounting, same policy as the ingest ring.
 //
 // Endpoint catalog (mounted by ObservabilityServer, served by
@@ -28,10 +28,11 @@
 //   /events    text/event-stream of alert lines as they are raised
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,6 +43,7 @@
 #include "net/http_server.h"
 #include "net/time.h"
 #include "telemetry/registry.h"
+#include "util/spsc_ring.h"
 
 namespace rloop::daemon {
 
@@ -94,11 +96,13 @@ struct StatusSnapshot {
 };
 
 // One /events subscriber: a bounded FIFO of alert lines. The publisher
-// (consumer thread) pushes with try_lock + drop-newest; the SSE connection
-// thread pops with a timed wait.
+// (consumer thread) pushes into a lock-free SPSC ring, dropping the newest
+// line only when the ring is full; the SSE connection thread pops with a
+// timed wait. The capacity is rounded up to a power of two.
 class EventStream {
  public:
-  explicit EventStream(std::size_t capacity) : capacity_(capacity) {}
+  explicit EventStream(std::size_t capacity)
+      : q_(std::bit_ceil(std::max<std::size_t>(capacity, 1))) {}
 
   // Blocks up to `timeout_ms` for a line; false on timeout or closed+empty.
   bool pop(std::string& out, int timeout_ms);
@@ -113,10 +117,9 @@ class EventStream {
  private:
   friend class ObservabilityHub;
 
-  mutable std::mutex mu_;
+  util::SpscRing<std::string> q_;
+  mutable std::mutex mu_;  // guards closed_ and the wait on cv_, not q_
   std::condition_variable cv_;
-  std::deque<std::string> q_;
-  std::size_t capacity_;
   bool closed_ = false;
   std::atomic<std::uint64_t> dropped_{0};
 };
@@ -133,7 +136,7 @@ class ObservabilityHub {
   void publish_loops(std::vector<SuspectEntry> entries, net::TimeNs as_of,
                      std::uint64_t epoch, bool truncated);
   // Alert fan-out. Takes the subscriber-list lock (alerts are rare events,
-  // not the per-packet path); each subscriber queue is try_locked.
+  // not the per-packet path); each subscriber's ring takes a lock-free push.
   void publish_event(const std::string& line);
 
   // --- reader side (HTTP threads) ------------------------------------------

@@ -157,38 +157,43 @@ class FdStreamWriter : public HttpStreamWriter {
   FdStreamWriter(int fd, const std::atomic<bool>& stopping)
       : fd_(fd), stopping_(stopping) {}
 
+  // Not gated on stopping_: a handler told to stop still writes what it
+  // holds, and stop() leaves the write side open until it returns.
   bool write(const std::string& data) override {
-    if (!alive_ || stopping_.load(std::memory_order_relaxed)) return false;
-    if (!send_all(fd_, data)) alive_ = false;
-    return alive_;
+    if (!writable_) return false;
+    writable_ = send_all(fd_, data);
+    return writable_;
   }
 
   bool alive() const override {
     if (stopping_.load(std::memory_order_relaxed)) return false;
-    if (!alive_) return false;
+    if (!writable_ || !peer_open_) return false;
     // A disconnected SSE client shows up as readable-with-EOF (or error):
     // the server never expects request bytes mid-stream, so anything
     // readable here means the peer is gone or misbehaving — either way the
-    // stream ends.
+    // stream ends. This only ends the wait for new data: the EOF may also
+    // be stop()'s own read-side shutdown, which must not cancel the
+    // handler's last writes.
     struct pollfd pfd{fd_, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, 0);
     if (pr > 0 && (pfd.revents & (POLLIN | POLLERR | POLLHUP))) {
       char probe[64];
       const ssize_t n = ::recv(fd_, probe, sizeof(probe), MSG_DONTWAIT);
       if (n == 0) {
-        alive_ = false;  // clean EOF: the peer closed
+        peer_open_ = false;  // clean EOF: the peer closed
       } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                  errno != EINTR) {
-        alive_ = false;
+        peer_open_ = false;
       }
     }
-    return alive_;
+    return peer_open_;
   }
 
  private:
   int fd_;
   const std::atomic<bool>& stopping_;
-  mutable bool alive_ = true;
+  bool writable_ = true;
+  mutable bool peer_open_ = true;
 };
 
 }  // namespace
@@ -268,17 +273,19 @@ void HttpServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // Abort in-flight connections: shutdown unblocks their reads/writes (and
-  // flips stream writers dead); the threads then exit and are joined. fds
-  // stay open until after the join so the numbers cannot be reused under a
-  // racing thread.
+  // End in-flight connections: a read-side shutdown unblocks header reads,
+  // and stopping_ turns stream writers' alive() false. The write side stays
+  // open so a stream handler can write the frames it already holds before
+  // it returns; a client that stops reading is bounded by SO_SNDTIMEO. The
+  // threads then exit and are joined. fds stay open until after the join
+  // so the numbers cannot be reused under a racing thread.
   std::vector<std::unique_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     conns.swap(connections_);
   }
   for (auto& c : conns) {
-    if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
+    if (c->fd >= 0) ::shutdown(c->fd, SHUT_RD);
   }
   for (auto& c : conns) {
     if (c->thread.joinable()) c->thread.join();

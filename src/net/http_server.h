@@ -54,8 +54,10 @@ struct HttpResponse {
 };
 
 // Write side of a streaming (SSE) connection, handed to a StreamHandler.
-// write() returns false when the client disconnected or the server is
-// stopping — the handler must return promptly once that happens.
+// alive() returns false once the client disconnected or the server is
+// stopping: the handler must then stop waiting for new data, write what it
+// already holds and return promptly. write() returns false only when the
+// bytes could not be sent.
 class HttpStreamWriter {
  public:
   virtual ~HttpStreamWriter() = default;

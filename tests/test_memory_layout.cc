@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <tuple>
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "core/replica_detector.h"
 #include "core/replica_key.h"
 #include "net/packet.h"
+#include "net/pcap.h"
 #include "net/trace.h"
 #include "result_equality.h"
 #include "telemetry/decision_log.h"
@@ -36,8 +39,9 @@
 #include "util/random.h"
 
 namespace {
-// Global allocation counter for the arena/flat-map win assertion. Relaxed
-// atomics: the counted sections below run single-threaded.
+// Global allocation counter for the allocation assertions. Relaxed
+// atomics: only the total is read, after the counted call has joined its
+// threads.
 std::atomic<std::uint64_t> g_alloc_count{0};
 }  // namespace
 
@@ -79,6 +83,36 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+// The array forms route through the counting forms above. Left to the
+// runtime, they would be counted in a plain build (libstdc++'s new[] calls
+// the replaced new) but not under a sanitizer, whose runtime supplies its
+// own new[]: the arena's chunks (make_unique<std::byte[]>) would drop out
+// of the pinned counts under TSan and ASan.
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return operator new(size, align);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return operator new(size, align, tag);
+}
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -684,27 +718,61 @@ TEST(MemoryLayout, NullRegistryResolvesAllocateNothing) {
   EXPECT_EQ(std::count(resolved.begin(), resolved.end(), nullptr), 4);
 }
 
-// Warm allocations of one serial and one parallel detect_loops() call on
-// `trace` (parallel: 4 threads, 4 shards, one workspace kept across runs).
-std::pair<std::uint64_t, std::uint64_t> warm_allocs(const net::Trace& trace) {
-  LoopDetectorConfig serial_config;
-  PipelineWorkspace workspace;
-  LoopDetectorConfig parallel_config;
-  parallel_config.parallel.num_threads = 4;
-  parallel_config.parallel.shard_bits = 2;
-  parallel_config.workspace = &workspace;
+// The registry counters pinned per path: what each of the paper's three
+// steps did. A reason label of nullptr means an unlabelled counter.
+struct WorkCounter {
+  const char* name;
+  const char* reason;
+};
+constexpr std::array<WorkCounter, 10> kWorkCounters = {{
+    {"rloop_detector_records_total", nullptr},
+    {"rloop_detector_replicas_matched_total", nullptr},
+    {"rloop_detector_streams_opened_total", nullptr},
+    {"rloop_detector_streams_expired_total", nullptr},
+    {"rloop_detector_streams_emitted_total", nullptr},
+    {"rloop_validator_streams_accepted_total", nullptr},
+    {"rloop_validator_streams_rejected_total", "too_small"},
+    {"rloop_validator_streams_rejected_total", "prefix_conflict"},
+    {"rloop_merger_merges_total", nullptr},
+    {"rloop_merger_loops_total", nullptr},
+}};
 
-  // Warm both paths twice: the first parallel run builds the pool and sizes
-  // every buffer, the second proves the sizing stuck.
-  (void)detect_loops(trace, serial_config);
-  (void)detect_loops(trace, parallel_config);
-  (void)detect_loops(trace, parallel_config);
+// What one detect_loops() call under a config does: the heap allocations
+// of a warm call with no registry, and the kWorkCounters of a call with one.
+struct PathCounts {
+  std::uint64_t allocs = 0;
+  std::array<std::uint64_t, kWorkCounters.size()> work{};
+};
 
-  const auto serial_allocs =
-      allocations_during([&] { (void)detect_loops(trace, serial_config); });
-  const auto parallel_allocs =
-      allocations_during([&] { (void)detect_loops(trace, parallel_config); });
-  return {serial_allocs, parallel_allocs};
+PathCounts count_path(const net::Trace& trace, LoopDetectorConfig config) {
+  // Warm twice: the first parallel run builds the pool and sizes every
+  // buffer, the second proves the sizing stuck.
+  (void)detect_loops(trace, config);
+  (void)detect_loops(trace, config);
+  PathCounts counts;
+  counts.allocs =
+      allocations_during([&] { (void)detect_loops(trace, config); });
+  telemetry::Registry reg;
+  config.registry = &reg;
+  (void)detect_loops(trace, config);
+  for (std::size_t i = 0; i < kWorkCounters.size(); ++i) {
+    const WorkCounter& c = kWorkCounters[i];
+    telemetry::LabelSet labels;
+    if (c.reason != nullptr) labels.emplace_back("reason", c.reason);
+    counts.work[i] = reg.counter(c.name, std::move(labels))->value();
+  }
+  return counts;
+}
+
+void expect_counts(const PathCounts& got, const PathCounts& want,
+                   const std::string& where) {
+  EXPECT_EQ(got.allocs, want.allocs) << where << ": warm allocations";
+  for (std::size_t i = 0; i < kWorkCounters.size(); ++i) {
+    const WorkCounter& c = kWorkCounters[i];
+    EXPECT_EQ(got.work[i], want.work[i])
+        << where << ": " << c.name
+        << (c.reason ? std::string("{reason=") + c.reason + "}" : "");
+  }
 }
 
 TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
@@ -712,34 +780,57 @@ TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
   // a parallel run's per-call allocation (pool reused, columns reused, batch
   // rings reused, per-shard arenas, marks and stream vectors rewound in
   // place) must not exceed the serial path's — parallelism may not buy its
-  // speed with allocator churn. Two traces: the fuzz mix, where nearly
-  // every record repeats its header, and a one-off-dominated one shaped
-  // like backbone traffic, where the serial path's repeated-hash mark
-  // leaves it few candidate allocations.
+  // speed with allocator churn. Three traces: the fuzz mix, where nearly
+  // every record repeats its header; a one-off-dominated one shaped like
+  // backbone traffic, where the repeated-hash mark leaves few candidates
+  // and validation rejects streams; and the committed golden capture.
   //
-  // The parallel count is also pinned exactly, per trace: the comparison
-  // with serial has a margin that one extra fan-out (one allocation for
-  // its body) would hide. Every allocation in a warm run is a function of
-  // the input, not of thread timing, so the pins are exact. A change that
-  // moves them on purpose re-pins them here and says why.
+  // Every count below is pinned exactly, per trace and path: the warm
+  // allocations and the work each step did. They are functions of the
+  // input, not of thread timing, so exact pins cannot flap, and a margin
+  // would hide a regression (one extra fan-out is one allocation; a mark
+  // that skips nothing only moves the opened/expired candidate counts).
+  // Those two may differ between the paths, since each shard's mark sees
+  // only its own records (DESIGN.md §5.1); every other work count must
+  // agree. A change that moves a pin on purpose re-pins it here and says
+  // why.
   struct Fixture {
     const char* name;
     const net::Trace* trace;
-    std::uint64_t parallel_allocs;
+    PathCounts serial;
+    PathCounts parallel;
   };
   TraceBuilder fuzz_builder;
   TraceBuilder one_off_builder;
-  for (const Fixture& f :
-       {Fixture{"fuzz", &fuzz_trace(fuzz_builder, 202), 514},
-        Fixture{"one_off", &one_off_trace(one_off_builder, 203, 100'000),
-                201}}) {
-    const auto [serial_allocs, parallel_allocs] = warm_allocs(*f.trace);
-    EXPECT_LE(parallel_allocs, serial_allocs)
-        << f.name << ": warm parallel=" << parallel_allocs
-        << " serial=" << serial_allocs;
-    EXPECT_EQ(parallel_allocs, f.parallel_allocs)
-        << f.name << ": serial=" << serial_allocs;
-    EXPECT_GT(serial_allocs, 10u) << "fixture too small to measure allocation";
+  const net::Trace golden = net::read_pcap(
+      std::string(RLOOP_GOLDEN_DIR) + "/golden_trace.pcap");
+  // work: records, matched, opened, expired, emitted, accepted,
+  //       rejected{too_small}, rejected{prefix_conflict}, merges, loops
+  for (const Fixture& f : {
+           Fixture{"fuzz", &fuzz_trace(fuzz_builder, 202),
+                   {538, {813, 291, 511, 249, 191, 49, 133, 9, 7, 42}},
+                   {514, {813, 291, 511, 249, 191, 49, 133, 9, 7, 42}}},
+           Fixture{"one_off", &one_off_trace(one_off_builder, 203, 100'000),
+                   {245, {100'298, 233, 4861, 21, 62, 16, 12, 34, 2, 14}},
+                   {201, {100'298, 233, 4876, 21, 62, 16, 12, 34, 2, 14}}},
+           Fixture{"golden", &golden,
+                   {52, {656, 184, 11, 0, 3, 3, 0, 0, 1, 2}},
+                   {40, {656, 184, 17, 0, 3, 3, 0, 0, 1, 2}}},
+       }) {
+    LoopDetectorConfig serial_config;
+    PipelineWorkspace workspace;
+    LoopDetectorConfig parallel_config;
+    parallel_config.parallel.num_threads = 4;
+    parallel_config.parallel.shard_bits = 2;
+    parallel_config.workspace = &workspace;
+    const PathCounts serial = count_path(*f.trace, serial_config);
+    const PathCounts parallel = count_path(*f.trace, parallel_config);
+    EXPECT_LE(parallel.allocs, serial.allocs)
+        << f.name << ": warm parallel=" << parallel.allocs
+        << " serial=" << serial.allocs;
+    EXPECT_GT(serial.allocs, 10u) << "fixture too small to measure allocation";
+    expect_counts(serial, f.serial, std::string(f.name) + " serial");
+    expect_counts(parallel, f.parallel, std::string(f.name) + " parallel");
   }
 }
 
