@@ -1,5 +1,5 @@
 // The flat replica-detection engine behind ReplicaDetector::detect() and the
-// staged dataflow (core/pipeline.cc), which keeps one warm state per shard
+// sharded pipeline (core/pipeline.cc), which keeps one warm state per shard
 // across runs.
 //
 // Open streams live in one FlatMap keyed by ReplicaKey, replica lists in an

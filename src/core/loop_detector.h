@@ -23,9 +23,10 @@ struct LoopDetectorConfig {
   ValidatorConfig validator;
   MergerConfig merger;
   // Multi-threaded execution. num_threads <= 1 (the default) is the serial
-  // path; > 1 runs the staged dataflow (core/pipeline.h): parse and detect
-  // overlap per epoch on a ThreadPool, sharded by replica-key hash, then
-  // validate and merge run once, through the same calls as the serial path.
+  // path; > 1 runs the sharded pipeline (core/pipeline.h): num_threads
+  // identical pool bodies parse a slice each, then detect the shards they
+  // own (sharded by replica-key hash), then validate and merge run once,
+  // through the same calls as the serial path.
   // Results are field-identical to the serial path for every thread/shard
   // count — see parallel.h for the argument and
   // tests/test_parallel_pipeline.cc for the proof harness.
@@ -52,11 +53,12 @@ struct LoopDetectorConfig {
   // per-replica-match verdicts with typed reasons (see decision_log.h).
   telemetry::DecisionLog* journal = nullptr;
   // Optional persistent workspace for the parallel path (core/pipeline.h).
-  // The staged dataflow reuses its thread pool, SoA store, batch rings and
-  // per-shard detect states across calls, so a warm run's steady-state
-  // allocation rate drops below the serial path's
-  // (tests/test_memory_layout.cc pins this). Null makes detect_loops()
-  // build a transient workspace per call; results are identical either way.
+  // The sharded pipeline reuses its thread pool, SoA store, shard-id
+  // column, per-body record lists and per-shard detect states across
+  // calls, so a warm run's steady-state allocation rate drops below the
+  // serial path's (tests/test_memory_layout.cc pins this). Null makes
+  // detect_loops() build a transient workspace per call; results are
+  // identical either way.
   PipelineWorkspace* workspace = nullptr;
 };
 
@@ -82,7 +84,7 @@ struct LoopDetectionResult {
 };
 
 // Runs parse -> detect -> validate -> merge on `trace`. Defined in
-// core/pipeline.cc, next to the staged dataflow it dispatches to.
+// core/pipeline.cc, next to the sharded pipeline it dispatches to.
 LoopDetectionResult detect_loops(const net::Trace& trace,
                                  const LoopDetectorConfig& config = {});
 

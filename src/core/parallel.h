@@ -18,11 +18,14 @@
 namespace rloop::core {
 
 struct ParallelConfig {
-  // Worker threads; <= 1 selects the serial path (no pool is created).
+  // Pool bodies (threads); <= 1 selects the serial path (no pool is
+  // created).
   unsigned num_threads = 1;
-  // log2 of the shard count. More shards than threads lets fast shards
-  // finish early and slow ones overlap; 2^4 = 16 is plenty for the core
-  // counts this targets. Clamped to [0, 10].
+  // log2 of the shard count. Ownership is static — shard s belongs to body
+  // s % num_threads — so shards beyond the thread count buy only a finer
+  // balance of records across bodies, not work stealing; with fewer shards
+  // than threads, the bodies past the last shard only parse. 2^4 = 16 is
+  // plenty for the core counts this targets. Clamped to [0, 10].
   unsigned shard_bits = 4;
 
   bool enabled() const { return num_threads > 1; }

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -19,20 +18,11 @@
 #include "telemetry/counter.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
-#include "util/spsc_ring.h"
 #include "util/thread_pool.h"
 
 namespace rloop::core {
 
 namespace {
-
-// Records per epoch. Large enough that per-epoch synchronization (one ring
-// push per worker per epoch) is noise against the per-record work; small
-// enough that the driver's read-ahead (at most kRingDepth epochs per worker)
-// keeps the shard ids it touches within cache reach of the workers
-// consuming them.
-constexpr std::size_t kEpochRecords = std::size_t{1} << 15;
-constexpr std::size_t kRingDepth = 8;
 
 telemetry::Histogram* stage_histogram(telemetry::Registry* registry,
                                       const char* stage) {
@@ -84,27 +74,6 @@ std::int64_t now_ns() {
       .count();
 }
 
-// One epoch's work for one worker: the record indices (in trace order) whose
-// shards that worker owns. Recycled through the worker's free ring; the
-// index vector keeps its capacity across epochs and across runs.
-struct EpochBatch {
-  std::vector<std::uint32_t> indices;
-};
-
-// The SPSC pair between the driver and one worker. Batches cycle
-// driver-pop(free) -> fill -> push(work) -> worker-pop(work) -> process ->
-// push(free); with kRingDepth batches in circulation the work ring can never
-// overflow, so both pushes are infallible, and an empty free ring is exactly
-// the back-pressure that bounds the driver's read-ahead.
-struct Lane {
-  Lane() : work(kRingDepth), free(kRingDepth) {
-    for (auto& b : storage) b = std::make_unique<EpochBatch>();
-  }
-  util::SpscRing<EpochBatch*> work;
-  util::SpscRing<EpochBatch*> free;
-  std::array<std::unique_ptr<EpochBatch>, kRingDepth> storage;
-};
-
 // Attaches a call's telemetry sinks to the workspace pool and detaches them
 // on every exit, exceptions included: the workspace outlives the call, and
 // the next call's registry may be a different object at the same address.
@@ -131,11 +100,10 @@ struct PipelineWorkspace::Impl {
   std::unique_ptr<util::ThreadPool> pool;
 
   RecordStore store;
-  std::vector<std::uint32_t> shard_ids;  // mix64(key hash) & (shards - 1)
-  std::vector<std::uint32_t> shard_owner;  // shard -> worker (s % workers)
-  std::vector<EpochBatch*> claimed;       // driver's per-worker batch in hand
-
-  std::vector<std::unique_ptr<Lane>> lanes;                 // one per worker
+  std::vector<std::uint32_t> shard_ids;    // mix64(key hash) & (shards - 1)
+  std::vector<std::uint32_t> shard_owner;  // shard -> body (s % bodies)
+  // Per body: the parsed records of the shards it owns, in trace order.
+  std::vector<std::vector<std::uint32_t>> owned;
   std::vector<std::unique_ptr<detail::FlatDetectState>> states;  // per shard
   std::vector<telemetry::Histogram*> detect_shard_hist;
 };
@@ -148,14 +116,13 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
                                            PipelineWorkspace& workspace) {
   auto& ws = workspace.impl();
   telemetry::Registry* reg = config.registry;
-  const unsigned num_threads = std::max(2u, config.parallel.num_threads);
-  const unsigned num_workers = num_threads - 1;
+  const unsigned num_bodies = std::max(1u, config.parallel.num_threads);
   const unsigned num_shards = config.parallel.num_shards();
   const std::size_t n = trace.size();
 
-  if (!ws.pool || ws.pool->size() != num_threads) {
+  if (!ws.pool || ws.pool->size() != num_bodies) {
     ws.pool.reset();
-    ws.pool = std::make_unique<util::ThreadPool>(num_threads);
+    ws.pool = std::make_unique<util::ThreadPool>(num_bodies);
   }
   const ScopedPoolTelemetry pool_telemetry(*ws.pool, reg, config.trace);
 
@@ -170,23 +137,6 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     ws.store.prepare(trace, n);
     ws.shard_ids.resize(n);
     result.records.resize(n);
-    if (ws.lanes.size() != num_workers) {
-      ws.lanes.clear();
-      for (unsigned w = 0; w < num_workers; ++w) {
-        ws.lanes.push_back(std::make_unique<Lane>());
-      }
-    }
-    // Restore the all-batches-free invariant (an aborted previous run can
-    // strand batches in a work ring).
-    for (auto& lane : ws.lanes) {
-      EpochBatch* b = nullptr;
-      while (lane->work.try_pop(b)) {
-      }
-      while (lane->free.try_pop(b)) {
-      }
-      for (auto& owned : lane->storage) lane->free.try_push(owned.get());
-    }
-    ws.claimed.assign(num_workers, nullptr);
 
     const ReplicaDetector detector(config.detector, reg, config.journal);
     ws.states.resize(num_shards);
@@ -196,9 +146,10 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
       state->reset();
     }
     ws.shard_owner.resize(num_shards);
+    ws.owned.resize(num_bodies);
     ws.detect_shard_hist.resize(num_shards);
     for (unsigned s = 0; s < num_shards; ++s) {
-      ws.shard_owner[s] = s % num_workers;
+      ws.shard_owner[s] = s % num_bodies;
       ws.detect_shard_hist[s] = telemetry::get_histogram(
           reg, "rloop_pipeline_shard_latency_ns",
           telemetry::latency_bounds_ns(),
@@ -210,43 +161,36 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     // one-offs a shared bucket lets through.
     const std::size_t shard_records = (n + num_shards - 1) / num_shards;
 
-    // Stage-occupancy counters: busy is time spent parsing / partitioning
-    // (driver) or parsing / marking / detecting (workers); idle is time
-    // blocked on the pre-pass barrier or the rings. Accumulated locally
-    // per thread, flushed once at thread exit.
+    // Stage-occupancy counters. Ingest busy is parsing, ingest idle the
+    // wait at the barrier; detect busy is marking, feeding and finishing,
+    // which never waits. Each body flushes its own totals once.
     telemetry::Counter* ingest_busy = telemetry::get_counter(
         reg, "rloop_pipeline_stage_busy_ns_total", {{"stage", "ingest"}},
         "Nanoseconds a pipeline stage spent doing work");
     telemetry::Counter* ingest_idle = telemetry::get_counter(
         reg, "rloop_pipeline_stage_idle_ns_total", {{"stage", "ingest"}},
-        "Nanoseconds a pipeline stage spent waiting on its queues");
+        "Nanoseconds a pipeline stage spent waiting at its barrier");
     telemetry::Counter* detect_busy = telemetry::get_counter(
         reg, "rloop_pipeline_stage_busy_ns_total", {{"stage", "detect"}},
         "Nanoseconds a pipeline stage spent doing work");
-    telemetry::Counter* detect_idle = telemetry::get_counter(
-        reg, "rloop_pipeline_stage_idle_ns_total", {{"stage", "detect"}},
-        "Nanoseconds a pipeline stage spent waiting on its queues");
     const bool timed = ingest_busy != nullptr;
 
     std::atomic<bool> abort{false};
-    std::atomic<bool> done{false};
-
-    // --- Pre-pass (every body): parse one contiguous range, then wait. ---
-    // A shard's RepeatMark needs every key hash of the trace before its
-    // first record is fed, so the front is a phase of its own: each body
-    // parses, columnizes, hashes and shard-assigns 1/num_threads of the
-    // trace — contiguous rows, so no two bodies write one cache line of
-    // the store or records[] except at a range edge — and no body goes on
-    // until all have (the counter's release/acquire pairs publish every
-    // body's rows and shard ids to every other). Returns false on abort.
     std::atomic<unsigned> parsed{0};
-    const auto parse_pass = [&](unsigned t, std::uint64_t& busy,
-                                std::uint64_t& idle) {
+
+    // One body; all num_bodies of them run this. Returns early on abort.
+    const auto run_body = [&](unsigned t) {
+      // Parse one contiguous range, then wait for every other body. A
+      // shard's RepeatMark needs every key hash of the trace before its
+      // first record is fed, hence the barrier; contiguous rows mean no
+      // two bodies write one cache line of the store or records[] except
+      // at a range edge. The counter's release/acquire pairs publish every
+      // body's rows and shard ids to every other.
       const std::int64_t t0 = timed ? now_ns() : 0;
       {
         const telemetry::ScopedSpan span(config.trace, "parse_chunk");
-        const std::size_t lo = n * t / num_threads;
-        const std::size_t hi = n * (t + 1) / num_threads;
+        const std::size_t lo = n * t / num_bodies;
+        const std::size_t hi = n * (t + 1) / num_bodies;
         // num_shards is 1 << shard_bits (ParallelConfig), so the mask
         // picks a shard uniformly.
         for (std::size_t i = lo; i < hi; ++i) {
@@ -261,135 +205,68 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
       }
       parsed.fetch_add(1, std::memory_order_acq_rel);
       const std::int64_t t1 = timed ? now_ns() : 0;
-      while (parsed.load(std::memory_order_acquire) < num_threads) {
-        if (abort.load(std::memory_order_acquire)) return false;
+      while (parsed.load(std::memory_order_acquire) < num_bodies) {
+        if (abort.load(std::memory_order_acquire)) return;
         std::this_thread::yield();
       }
-      if (timed) {
-        busy += static_cast<std::uint64_t>(t1 - t0);
-        idle += static_cast<std::uint64_t>(now_ns() - t1);
-      }
-      return true;
-    };
+      const std::int64_t t2 = timed ? now_ns() : 0;
+      telemetry::inc(ingest_busy, static_cast<std::uint64_t>(t1 - t0));
+      telemetry::inc(ingest_idle, static_cast<std::uint64_t>(t2 - t1));
+      if (t >= num_shards) return;  // owns no shard
 
-    // --- Driver (body 0): parse its range, then partition and feed. -------
-    const auto run_driver = [&] {
-      std::uint64_t busy = 0;
-      std::uint64_t idle = 0;
-      if (!parse_pass(0, busy, idle)) return;
-      for (std::size_t lo = 0; lo < n; lo += kEpochRecords) {
-        const std::size_t hi = std::min(n, lo + kEpochRecords);
-        const std::int64_t t1 = timed ? now_ns() : 0;
-        // Claim one batch per worker. An empty free ring means that worker
-        // is kRingDepth epochs behind — waiting here is the back-pressure
-        // that bounds the driver's read-ahead.
-        for (unsigned w = 0; w < num_workers; ++w) {
-          EpochBatch* b = nullptr;
-          while (!ws.lanes[w]->free.try_pop(b)) {
-            if (abort.load(std::memory_order_acquire)) return;
-            std::this_thread::yield();
-          }
-          b->indices.clear();
-          ws.claimed[w] = b;
-        }
-        const std::int64_t t2 = timed ? now_ns() : 0;
-        // Partition: shard s belongs to worker s % num_workers. Parse
-        // failures never reach the detector, so they are not routed.
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (!ws.store.ok(i)) continue;
-          ws.claimed[ws.shard_owner[ws.shard_ids[i]]]->indices.push_back(
-              static_cast<std::uint32_t>(i));
-        }
-        for (unsigned w = 0; w < num_workers; ++w) {
-          ws.lanes[w]->work.try_push(ws.claimed[w]);  // never full: see Lane
-        }
-        if (timed) {
-          const std::int64_t t3 = now_ns();
-          busy += static_cast<std::uint64_t>(t3 - t2);
-          idle += static_cast<std::uint64_t>(t2 - t1);
-        }
-      }
-      done.store(true, std::memory_order_release);
-      telemetry::inc(ingest_busy, busy);
-      telemetry::inc(ingest_idle, idle);
-    };
-
-    // --- Worker (bodies 1..W): parse its range, mark its shards, then
-    // detect; then finish. ------------------------------------------------
-    const auto run_worker = [&](unsigned w) {
-      Lane& lane = *ws.lanes[w];
-      std::uint64_t parse_busy = 0;
-      std::uint64_t parse_idle = 0;
-      if (!parse_pass(w + 1, parse_busy, parse_idle)) return;
-      std::uint64_t busy = 0;
-      const std::int64_t t_start = timed ? now_ns() : 0;
+      // Mark, then feed, the shards this body owns. Each shard's state is
+      // written and read only by its owner, and its records arrive in
+      // trace order. Parse failures never reach the detector. The mark
+      // scan also lists the body's records, so the feed pass walks only
+      // those: feeding inside a second full scan measured slower
+      // (DESIGN.md §5.2), most likely because the ownership branch
+      // mispredicts and stalls the cache misses feed() could overlap.
+      // The list is moved out for the body's lifetime: the vectors' headers
+      // sit side by side in ws.owned, and push_back on a shared cache line
+      // would ping-pong it between bodies.
+      std::vector<std::uint32_t> owned = std::move(ws.owned[t]);
       {
-        // Each shard's mark is written only by its owner, here, and read
-        // only by its owner below: no handoff beyond the pre-pass barrier.
         const telemetry::ScopedSpan span(config.trace, "mark_shards");
-        for (unsigned s = w; s < num_shards; s += num_workers) {
+        for (unsigned s = t; s < num_shards; s += num_bodies) {
           ws.states[s]->mark.reset(shard_records);
         }
+        owned.clear();
         for (std::size_t i = 0; i < n; ++i) {
           const std::uint32_t s = ws.shard_ids[i];
-          if (ws.shard_owner[s] == w && ws.store.ok(i)) {
+          if (ws.shard_owner[s] == t && ws.store.ok(i)) {
             ws.states[s]->mark.add(ws.store.key_hash(i));
+            owned.push_back(static_cast<std::uint32_t>(i));
           }
         }
-        if (timed) busy += static_cast<std::uint64_t>(now_ns() - t_start);
       }
-      for (;;) {
-        EpochBatch* b = nullptr;
-        if (lane.work.try_pop(b)) {
-          const telemetry::ScopedSpan span(config.trace, "detect_chunk");
-          const std::int64_t t0 = timed ? now_ns() : 0;
-          for (const std::uint32_t idx : b->indices) {
-            ws.states[ws.shard_ids[idx]]->feed(ws.store, idx);
-          }
-          lane.free.try_push(b);  // never full: see Lane
-          if (timed) busy += static_cast<std::uint64_t>(now_ns() - t0);
-          continue;
+      {
+        const telemetry::ScopedSpan span(config.trace, "detect_chunk");
+        for (const std::uint32_t i : owned) {
+          ws.states[ws.shard_ids[i]]->feed(ws.store, i);
         }
-        if (abort.load(std::memory_order_acquire)) return;
-        // `done` is set after the driver's final pushes, so done + an empty
-        // (freshly re-checked) work ring means fully drained.
-        if (done.load(std::memory_order_acquire) && lane.work.empty()) break;
-        std::this_thread::yield();
       }
-      for (unsigned s = w; s < num_shards; s += num_workers) {
+      ws.owned[t] = std::move(owned);
+      for (unsigned s = t; s < num_shards; s += num_bodies) {
         const telemetry::ScopedSpan span(config.trace, "detect_shard");
         const telemetry::ScopedTimer shard_timer(ws.detect_shard_hist[s]);
-        const std::int64_t t0 = timed ? now_ns() : 0;
         ws.states[s]->finish();
-        if (timed) busy += static_cast<std::uint64_t>(now_ns() - t0);
       }
-      if (timed) {
-        telemetry::inc(detect_busy, parse_busy + busy);
-        telemetry::inc(detect_idle,
-                       parse_idle +
-                           static_cast<std::uint64_t>(now_ns() - t_start) -
-                           busy);
-      }
+      const std::int64_t t3 = timed ? now_ns() : 0;
+      telemetry::inc(detect_busy, static_cast<std::uint64_t>(t3 - t2));
     };
 
     // The counter-runner parallel_for puts every body on its own pool
-    // worker (n == pool size), so driver and workers genuinely overlap and
-    // the pre-pass barrier cannot wait on a body that never starts. A body
-    // that throws flips `abort` first: the barrier releases, the driver
-    // stops feeding and every worker exits its spin, so the fan-out always
-    // joins, and parallel_for rethrows the first error after the join.
-    // Span name is null: the bodies emit their own finer-grained spans
-    // (parse_chunk / mark_shards / detect_chunk / detect_shard) at depth 0
-    // in their worker's lane.
+    // worker (n == pool size), so the barrier cannot wait on a body that
+    // never starts. A body that throws flips `abort` first, which releases
+    // the barrier, so the fan-out always joins and parallel_for rethrows
+    // the first error after the join. Span name is null: the bodies emit
+    // their own finer-grained spans (parse_chunk / mark_shards /
+    // detect_chunk / detect_shard) at depth 0 in their worker's lane.
     ws.pool->parallel_for(
-        num_threads,
+        num_bodies,
         [&](std::size_t t) {
           try {
-            if (t == 0) {
-              run_driver();
-            } else {
-              run_worker(static_cast<unsigned>(t) - 1);
-            }
+            run_body(static_cast<unsigned>(t));
           } catch (...) {
             abort.store(true, std::memory_order_release);
             throw;

@@ -1,37 +1,32 @@
 // The offline detection pipeline: detect_loops() (declared in
-// loop_detector.h) and its one parallel path, the staged, epoch-overlapped
-// dataflow below. Both live in pipeline.cc, which also names the
+// loop_detector.h) and its one parallel path, the sharded fan-out below.
+// Both live in pipeline.cc, which also names the
 // rloop_pipeline_stage_latency_ns and rloop_pipeline_parse_failures_total
 // families they record.
 //
 // The serial path runs parse, columnize, detect, validate and merge one
-// after another. A barrier-style parallel version of that sequence would
-// join the pool between stages, leaving workers idle behind the slowest
-// chunk each time. Here the front — ingest -> parse -> columnize -> hash ->
-// shard-detect — is one fan-out over the trace with a single barrier:
+// after another. The parallel path runs step 1 as one fan-out of T
+// identical pool bodies with a single barrier. Body t:
 //
-//   every body t: parse, set_row, hash and shard-assign the contiguous
-//   range [t*n/T, (t+1)*n/T); then wait until all bodies have
-//
-//   driver (body 0)            workers (bodies 1..W)
-//   ------------------         -------------------------------------------
-//                              mark: RepeatMark of each owned shard over
-//   epoch N+1: partition       the whole key-hash column, then
-//   indices by shard owner,    epoch N: feed each record to its shard's
-//   push batch per worker -->  detect state machine (FlatDetectState)
-//   (bounded SPSC rings)       on drain: finish() each owned shard
+//   1. parses, set_rows, hashes and shard-assigns the contiguous range
+//      [t*n/T, (t+1)*n/T);
+//   2. waits until every body has;
+//   3. for the shards it owns (s % T == t): resets each shard's RepeatMark
+//      and fills it in one scan of the shard-id column, which also lists
+//      the body's records, then feeds that list, in trace order, to each
+//      record's FlatDetectState;
+//   4. finish()es each shard it owns.
 //
 // The mark needs every key hash before the first record is fed (a record
 // is a one-off only if no later record shares its hash), hence the
-// barrier. Parsing in contiguous ranges keeps FNV and parsing off the
-// driver, which only partitions, and means no two bodies write one cache
-// line of the store or records[] except at a range edge. The driver stays
-// one-to-eight epochs ahead of the workers (ring depth bounds the overlap
-// and the memory).
+// barrier. Parsing in contiguous ranges means no two bodies write one cache
+// line of the store or records[] except at a range edge. After the barrier
+// no body waits on another: each shard's state is written and read by its
+// owner only.
 // Partitioning invariants:
-//  - every parsed record index is assigned to exactly one worker (shard s
-//    of the record's replica-key hash goes to worker s % W);
-//  - all records of one shard land on one worker in trace order, so each
+//  - every parsed record belongs to exactly one body (shard s of the
+//    record's replica-key hash is owned by body s % T);
+//  - all records of one shard are fed by one body in trace order, so each
 //    FlatDetectState sees exactly the record sequence the serial detector
 //    feeds it, and the concatenate + sort merge reproduces the serial
 //    stream order (the argument in parallel.h);
@@ -45,10 +40,10 @@
 // emits, so a fan-out would cost more than it saves.
 //
 // PipelineWorkspace owns everything reusable across runs: the thread pool,
-// the SoA store, the hash/shard scratch columns, the per-worker batch rings,
-// and one warm FlatDetectState per shard (arena, open-table and mark
-// capacity persist). It holds no telemetry between runs: the
-// pool is attached to each run's registry and span sink for that run only.
+// the SoA store, the shard-id column, the shard-owner table, each body's
+// record list, and one warm FlatDetectState per shard (arena, open-table
+// and mark capacity persist). It holds no telemetry between runs: the pool
+// is attached to each run's registry and span sink for that run only.
 // Callers that run repeatedly keep one workspace across runs (the
 // allocation pins in tests/test_memory_layout.cc count a warm run);
 // detect_loops() creates a transient one when the config carries none.
@@ -75,7 +70,7 @@ class PipelineWorkspace {
   std::unique_ptr<Impl> impl_;
 };
 
-// Runs the staged-dataflow pipeline on `trace`. Requires
+// Runs the sharded pipeline on `trace`. Requires
 // config.parallel.enabled(); output is field-identical to the serial
 // detect_loops() for every (num_threads, shard_bits) — the differential
 // harness in tests/test_parallel_pipeline.cc runs both and compares field

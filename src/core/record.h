@@ -27,7 +27,7 @@ struct ParsedRecord {
 
 // Parses trace record `i` in isolation. Records parse independently (framing
 // happened at capture/pcap-read time), so any partition of indices across
-// workers — the staged dataflow's shard batches — reproduces parse_trace()
+// workers — the parallel pipeline's contiguous slices — reproduces parse_trace()
 // exactly, record for record.
 ParsedRecord parse_record(const net::Trace& trace, std::size_t i);
 

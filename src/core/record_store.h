@@ -14,7 +14,7 @@
 //   key_hash  uint64  replica_key_hash over the captured bytes (0 when !ok)
 //
 // The key-hash column is computed once per record — by build() on the serial
-// path, by the staged dataflow's driver on the parallel one — and every
+// path, by each pipeline body for its slice on the parallel one — and every
 // later stage reuses it, so FNV runs exactly once per record on every path.
 // The store also keeps a pointer to the source trace: replica keys are still
 // materialized from the raw captured bytes (byte-precise equality, no false
@@ -23,8 +23,8 @@
 //
 // ParsedRecord remains the public API of parse results. Both paths fill the
 // store row by row through prepare + set_row: build() does it for the serial
-// pipeline's columnize stage, the staged dataflow's workers for the rows
-// they own.
+// pipeline's columnize stage, each parallel pipeline body for the
+// contiguous slice it parses.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +48,9 @@ class RecordStore {
   static RecordStore build(const net::Trace& trace,
                            const std::vector<ParsedRecord>& records);
 
-  // Staged-dataflow support (core/pipeline.cc): sizes every column for `n`
-  // records of `trace` without filling them; rows are then written by
-  // set_row, each exactly once, by the worker that owns the record
+  // Parallel-pipeline support (core/pipeline.cc): sizes every column for
+  // `n` records of `trace` without filling them; rows are then written by
+  // set_row, each exactly once, by the body whose slice holds the record
   // (disjoint-row discipline — no two threads ever touch one index).
   // Column capacity is reused across calls, so a persistent workspace's
   // store allocates nothing once warm.
@@ -58,7 +58,7 @@ class RecordStore {
 
   // Fills row i from a parsed record plus its precomputed replica-key hash;
   // the hash is stored only when the record parsed ok. The only writer of
-  // the columns, on the serial path (build) and the staged one alike.
+  // the columns, on the serial path (build) and the parallel one alike.
   void set_row(std::size_t i, const ParsedRecord& rec,
                std::uint64_t key_hash) {
     ts_[i] = rec.ts;

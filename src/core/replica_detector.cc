@@ -80,7 +80,7 @@ ReplicaDetector::ReplicaDetector(ReplicaDetectorConfig config,
           "Spacing between successive replicas of one stream")) {}
 
 // The flat engine itself (FlatDetectState and its helpers) lives in
-// core/detect_state.h: the staged dataflow in core/pipeline.cc keeps one
+// core/detect_state.h: the sharded pipeline in core/pipeline.cc keeps one
 // warm state per shard across runs, so it needs the type, not just the
 // detect() entry points below.
 

@@ -103,7 +103,7 @@ class ReplicaDetector {
       const net::Trace& trace,
       const std::vector<ParsedRecord>& records) const;
 
-  // Staged-dataflow hooks: core/pipeline.cc keeps one warm flat state per
+  // Parallel-pipeline hooks: core/pipeline.cc keeps one warm flat state per
   // shard across runs, so it cannot call detect(). bind() points a state at
   // this detector's config, spacing histogram and journal; publish() adds a
   // run's counts to this detector's counters. detect() is bind, process,

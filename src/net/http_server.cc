@@ -315,10 +315,15 @@ void HttpServer::accept_loop() {
       break;  // listener shut down (stop()) or unrecoverable
     }
     reap_finished_threads();
-    std::size_t active;
+    // Only connections still being served count against the cap: one that
+    // has answered and is waiting in fin_and_drain for the client's FIN
+    // holds no handler, and under CPU contention those can pile up.
+    std::size_t active = 0;
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
-      active = connections_.size();
+      for (const auto& c : connections_) {
+        if (!c->served.load(std::memory_order_acquire)) ++active;
+      }
     }
     if (active >= static_cast<std::size_t>(options_.max_connections)) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -339,6 +344,7 @@ void HttpServer::accept_loop() {
     }
     raw->thread = std::thread([this, raw] {
       serve_connection(raw->fd);
+      raw->served.store(true, std::memory_order_release);
       // FIN now (every response is Connection: close and clients read to
       // EOF), then drain leftover request bytes so the close at reap/stop
       // time cannot turn into an RST. The fd itself is closed only at

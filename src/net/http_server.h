@@ -11,8 +11,10 @@
 //   * a hard header deadline — a slowloris client dripping one byte per
 //     second is cut off `header_deadline_ms` after connect, enforced with
 //     poll() so a stalled read cannot pin a thread forever;
-//   * a connection cap — accept beyond `max_connections` answers 503
-//     immediately instead of spawning unbounded threads;
+//   * a connection cap — an accept while `max_connections` connections
+//     are still being served answers 503 immediately instead of spawning
+//     unbounded threads (a served connection's thread lingers at most
+//     500 ms for the client's FIN and no longer counts);
 //   * MSG_NOSIGNAL writes — a scraper that disconnects mid-response must
 //     not SIGPIPE the daemon.
 //
@@ -79,7 +81,7 @@ class HttpServer {
                                              // default; bind 0.0.0.0 on your
                                              // own authority
     int port = 0;                       // 0 = ephemeral, see port()
-    int max_connections = 16;           // concurrent; beyond this -> 503
+    int max_connections = 16;           // being served; beyond this -> 503
     std::size_t max_request_bytes = 8192;  // request line + headers
     int header_deadline_ms = 2000;      // connect -> complete header
   };
@@ -142,7 +144,8 @@ class HttpServer {
   struct Connection {
     int fd = -1;
     std::thread thread;
-    std::atomic<bool> done{false};
+    std::atomic<bool> served{false};  // handler returned; draining
+    std::atomic<bool> done{false};    // drained; ready to reap
   };
   std::vector<std::unique_ptr<Connection>> connections_;
 

@@ -2,9 +2,9 @@
 //
 // Two producer/consumer boundaries in this repo use it: the daemon's ingest
 // edge (capture/replay thread pushes fixed-size records, detection thread
-// drains them in batches — daemon/daemon.h) and the offline pipeline's
-// staged dataflow (the ingest driver pushes epoch batches to each worker and
-// recycles them through a free ring — core/pipeline.cc). One producer and one
+// drains them in batches — daemon/daemon.h) and the observability plane's
+// per-client SSE queues (the publisher pushes alert lines, each client's
+// connection thread pops them — daemon/observability.h). One producer and one
 // consumer mean the queue needs no CAS loops — each side owns one index and
 // only *reads* the other's, so a push is a store-release and a pop is a
 // load-acquire, nothing heavier. Both indices (and each side's cached copy

@@ -66,7 +66,7 @@ class ThreadPool {
   // each index's span when a trace sink is attached; it must be a string
   // literal (spans keep the pointer, not a copy). Pass nullptr to suppress
   // per-index spans — callers that emit their own finer-grained spans
-  // inside the body (the staged dataflow) use that to keep those spans at
+  // inside the body (the sharded pipeline) use that to keep those spans at
   // depth 0 in the worker's lane.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                     const char* span_name = "task");

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -150,6 +152,30 @@ TEST(Checkpoint, EncodingIsDeterministic) {
   b.detector = feed()->snapshot();
   EXPECT_EQ(encode_checkpoint(a), encode_checkpoint(b));
   EXPECT_EQ(encode_checkpoint(a), encode_checkpoint(a));
+}
+
+// FNV-1a 64 over the whole frame, computed here rather than through the
+// codec's own checksum so the pin does not move with the code it guards.
+std::uint64_t frame_fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Taken from the v1 codec; move them only together with a version bump.
+constexpr std::size_t kPinnedSize = 3687;
+constexpr std::uint64_t kPinnedFnv = 0x272df96cbdd7b2cfULL;
+
+TEST(Checkpoint, EncodingIsPinnedAtVersion1) {
+  // The v1 frame of a fixed state, pinned byte for byte: a rebuild of the
+  // detector or the codec that changes the payload layout must bump the
+  // version rather than silently reinterpret snapshots already on disk.
+  const std::string bytes = encode_checkpoint(make_state());
+  EXPECT_EQ(bytes.size(), kPinnedSize);
+  EXPECT_EQ(frame_fnv1a64(bytes), kPinnedFnv);
 }
 
 TEST(Checkpoint, CorruptionIsAlwaysDetected) {

@@ -776,10 +776,10 @@ void expect_counts(const PathCounts& got, const PathCounts& want,
 }
 
 TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
-  // The staged dataflow's whole point of carrying a workspace: once warm,
-  // a parallel run's per-call allocation (pool reused, columns reused, batch
-  // rings reused, per-shard arenas, marks and stream vectors rewound in
-  // place) must not exceed the serial path's — parallelism may not buy its
+  // The pipeline's whole point of carrying a workspace: once warm, a
+  // parallel run's per-call allocation (pool reused, columns reused,
+  // per-shard arenas, marks and stream vectors rewound in place) must not
+  // exceed the serial path's — parallelism may not buy its
   // speed with allocator churn. Three traces: the fuzz mix, where nearly
   // every record repeats its header; a one-off-dominated one shaped like
   // backbone traffic, where the repeated-hash mark leaves few candidates
@@ -809,13 +809,13 @@ TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
   for (const Fixture& f : {
            Fixture{"fuzz", &fuzz_trace(fuzz_builder, 202),
                    {538, {813, 291, 511, 249, 191, 49, 133, 9, 7, 42}},
-                   {514, {813, 291, 511, 249, 191, 49, 133, 9, 7, 42}}},
+                   {513, {813, 291, 511, 249, 191, 49, 133, 9, 7, 42}}},
            Fixture{"one_off", &one_off_trace(one_off_builder, 203, 100'000),
                    {245, {100'298, 233, 4861, 21, 62, 16, 12, 34, 2, 14}},
-                   {201, {100'298, 233, 4876, 21, 62, 16, 12, 34, 2, 14}}},
+                   {200, {100'298, 233, 4876, 21, 62, 16, 12, 34, 2, 14}}},
            Fixture{"golden", &golden,
                    {52, {656, 184, 11, 0, 3, 3, 0, 0, 1, 2}},
-                   {40, {656, 184, 17, 0, 3, 3, 0, 0, 1, 2}}},
+                   {39, {656, 184, 17, 0, 3, 3, 0, 0, 1, 2}}},
        }) {
     LoopDetectorConfig serial_config;
     PipelineWorkspace workspace;

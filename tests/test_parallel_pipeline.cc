@@ -11,6 +11,7 @@
 
 #include <array>
 #include <atomic>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -24,6 +25,7 @@
 #include "result_equality.h"
 #include "scenarios/backbone.h"
 #include "trace_builder.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -133,6 +135,38 @@ TEST(ParallelPipeline, EmptyTrace) {
   EXPECT_TRUE(result.loops.empty());
 }
 
+// A body that fails after the barrier must not hang the fan-out or poison
+// the workspace: the allocation failure surfaces as std::bad_alloc from
+// detect_loops(), and a rerun on the same workspace matches serial. A fresh
+// workspace makes the first arena chunk and the first open-table growth
+// happen inside a body's feed scan.
+TEST(ParallelPipeline, AllocationFailureInBodyThrowsAndWorkspaceRecovers) {
+#if !defined(RLOOP_FAILPOINTS)
+  GTEST_SKIP() << "failpoint sites compiled out (-DRLOOP_FAILPOINTS=OFF)";
+#else
+  auto spec = scenarios::backbone_spec(1);
+  spec.seed = 7;
+  spec.duration = 20 * net::kSecond;
+  auto run = scenarios::build_backbone(spec);
+  scenarios::execute(*run);
+  const net::Trace& trace = run->trace();
+  const auto serial = core::detect_loops(trace);
+
+  auto& failpoints = util::FailpointRegistry::instance();
+  for (const char* site : {"arena.alloc", "flat_map.grow"}) {
+    SCOPED_TRACE(site);
+    core::PipelineWorkspace workspace;
+    auto config = parallel_config(4, 4);
+    config.workspace = &workspace;
+    std::string error;
+    ASSERT_TRUE(failpoints.arm(site, "trip@nth:1", &error)) << error;
+    EXPECT_THROW((void)core::detect_loops(trace, config), std::bad_alloc);
+    failpoints.disarm_all();
+    expect_equal_results(serial, core::detect_loops(trace, config));
+  }
+#endif
+}
+
 // replica_key_hash (the shard-assignment fast path) must agree with the hash
 // of the materialized key for arbitrary byte lengths, or records of one key
 // could land in different shards and split a stream.
@@ -220,10 +254,11 @@ TEST(ParallelPipeline, PerShardTelemetryRegisteredAndHarmless) {
   }
   // 4 shards x the one sharded stage (detect); validate and merge run once.
   EXPECT_EQ(shard_histograms, 4u);
-  // Staged-dataflow occupancy: busy/idle per stage (ingest driver, detect
-  // workers), surfaced through the existing registry — no new endpoint.
+  // Stage occupancy, surfaced through the existing registry — no new
+  // endpoint: busy for ingest (parse) and detect, idle only for ingest
+  // (the barrier wait); the detect phase never waits.
   EXPECT_EQ(busy_counters, 2u);
-  EXPECT_EQ(idle_counters, 2u);
+  EXPECT_EQ(idle_counters, 1u);
   // A run is exactly one fan-out, one pool task per body (4 threads): any
   // further parallel_for shows here, even one whose body fits
   // std::function's small buffer and so allocates nothing.

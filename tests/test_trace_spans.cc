@@ -167,7 +167,7 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
   ASSERT_EQ(count_named(spans, "detect_loops"), 1u);
   EXPECT_EQ(count_named(spans, "detect_shard"), 4u);
   EXPECT_EQ(count_named(spans, "parse_chunk"), 4u);  // one per pool body
-  EXPECT_EQ(count_named(spans, "mark_shards"), 3u);  // one per worker
+  EXPECT_EQ(count_named(spans, "mark_shards"), 4u);  // one per owning body
   EXPECT_GE(count_named(spans, "detect_chunk"), 1u);
   // Validate and merge run once, on the calling thread, through the tail
   // the serial path runs: no per-shard task spans.
