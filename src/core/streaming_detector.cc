@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "net/byteio.h"
-#include "net/packet.h"
+#include "net/ipv4.h"
 #include "util/failpoint.h"
 
 namespace rloop::core {
@@ -46,169 +46,252 @@ StreamingDetector::StreamingDetector(StreamingConfig config,
           "Replica-candidate entries currently tracked; a surge here is "
           "the live loop signal")) {}
 
-void StreamingDetector::sweep(net::TimeNs now) {
-  for (auto it = open_.begin(); it != open_.end();) {
-    if (now - it->second.last_ts > config_.stream_timeout) {
-      it = open_.erase(it);
-    } else {
-      ++it;
+namespace {
+
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+// Packets between trims of the hold-down and suspect tables.
+constexpr std::uint32_t kTickPackets = 1u << 15;
+
+}  // namespace
+
+// Grows every container on_packet may append to, before the packet writes
+// any detector state: a std::bad_alloc from here (or from the failpoint)
+// leaves the detector exactly as if it never saw the packet. Each packet
+// appends at most one slab slot, one FIFO record, one suspect slot and one
+// entry in each map, and after this point the detector's own tables never
+// allocate.
+void StreamingDetector::reserve_for_packet() {
+  if (RLOOP_FAILPOINT("streaming.insert")) throw std::bad_alloc();
+  if (free_head_ == kNoSlot && slab_.size() == slab_.capacity()) {
+    slab_.reserve(std::max<std::size_t>(64, 2 * slab_.size()));
+  }
+  if (touch_count_ == touches_.size()) {
+    std::vector<Touch> bigger(std::max<std::size_t>(64, 2 * touches_.size()));
+    for (std::size_t i = 0; i < touch_count_; ++i) {
+      bigger[i] = touches_[(touch_head_ + i) & (touches_.size() - 1)];
     }
+    touches_.swap(bigger);
+    touch_head_ = 0;
   }
-  for (auto it = last_alert_.begin(); it != last_alert_.end();) {
-    if (now - it->second > 2 * config_.alert_holddown) {
-      it = last_alert_.erase(it);
-    } else {
-      ++it;
-    }
+  if (suspect_slots_.size() == suspect_slots_.capacity()) {
+    suspect_slots_.reserve(
+        std::max<std::size_t>(64, 2 * suspect_slots_.size()));
   }
-  // Rebuild the sampling exemption set from what survived, so it tracks the
-  // live suspect population and cannot grow without bound.
-  suspects_.clear();
-  for (const auto& [key, entry] : open_) {
-    if (entry.replicas >= 2) suspects_.insert(entry.prefix24);
+  index_.reserve(index_.size() + 1);
+  suspects_.reserve(suspects_.size() + 1);
+  last_alert_.reserve(last_alert_.size() + 1);
+}
+
+void StreamingDetector::push_touch(std::uint32_t slot, net::TimeNs ts) {
+  touches_[(touch_head_ + touch_count_) & (touches_.size() - 1)] = {slot, ts};
+  ++touch_count_;
+}
+
+StreamingDetector::Touch StreamingDetector::pop_touch() {
+  const Touch touch = touches_[touch_head_];
+  touch_head_ = (touch_head_ + 1) & (touches_.size() - 1);
+  --touch_count_;
+  return touch;
+}
+
+// Frees the record's entry if the record is still its latest touch. A slot
+// reused by an entry touched at the same instant is retired too, which is
+// right: that entry's last_ts is the record's.
+bool StreamingDetector::retire(const Touch& touch) {
+  Slot& slot = slab_[touch.slot];
+  if (!slot.live || slot.entry.last_ts != touch.ts) return false;
+  index_.erase_hashed(slot.key.hash,
+                      [&](std::uint32_t s) { return s == touch.slot; });
+  slot.live = false;
+  slot.next_free = free_head_;
+  free_head_ = touch.slot;
+  return true;
+}
+
+// Exact expiry: every entry idle for more than stream_timeout is gone
+// before the packet at `now` is looked up. O(1) amortised — each record is
+// pushed once and popped once.
+void StreamingDetector::expire(net::TimeNs now) {
+  while (touch_count_ > 0 &&
+         now - touches_[touch_head_].ts > config_.stream_timeout) {
+    retire(pop_touch());
   }
-  for (const auto& [prefix, ts] : last_alert_) suspects_.insert(prefix);
-  telemetry::set(m_open_entries_, static_cast<std::int64_t>(open_.size()));
+}
+
+// Trims the two small tables; the open entries need no sweep. suspects_
+// ends up exactly {prefixes of open entries with >= 2 replicas} plus the
+// surviving hold-downs. Every such prefix is already in suspects_ (it went
+// in when its entry reached 2 replicas), so the rebuild only re-stamps and
+// erases: it never allocates.
+void StreamingDetector::tick(net::TimeNs now) {
+  last_alert_.erase_if([&](const net::Prefix&, net::TimeNs ts) {
+    return now - ts > 2 * config_.alert_holddown;
+  });
+  std::sort(suspect_slots_.begin(), suspect_slots_.end());
+  suspect_slots_.erase(
+      std::unique(suspect_slots_.begin(), suspect_slots_.end()),
+      suspect_slots_.end());
+  std::erase_if(suspect_slots_, [&](std::uint32_t s) {
+    return !slab_[s].live || slab_[s].entry.replicas < 2;
+  });
+  ++tick_;
+  for (const std::uint32_t s : suspect_slots_) {
+    suspects_[slab_[s].entry.prefix24] = tick_;
+  }
+  last_alert_.for_each([&](const net::Prefix& prefix, net::TimeNs) {
+    suspects_[prefix] = tick_;
+  });
+  suspects_.erase_if(
+      [&](const net::Prefix&, std::uint32_t stamp) { return stamp != tick_; });
 }
 
 // Hard-budget eviction (the bounded-memory guarantee the daemon relies on).
-// Runs only when an insert would cross max_open_entries: entries idle past
-// stream_timeout can never extend a stream and go first; if that is not
-// enough, an LRU-ish partition by last-touch evicts the oldest entries down
-// to ~7/8 of the budget, so evictions happen in batches instead of on every
-// packet at the boundary.
-void StreamingDetector::enforce_budget(net::TimeNs now) {
-  const std::size_t before = open_.size();
-  for (auto it = open_.begin(); it != open_.end();) {
-    if (now - it->second.last_ts > config_.stream_timeout) {
-      it = open_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+// Runs only when an insert would cross max_open_entries. Expiry has already
+// removed every entry idle past stream_timeout, so this pops the FIFO —
+// oldest touch first, skipping stale records — down to ~7/8 of the budget,
+// so evictions happen in batches instead of on every packet at the
+// boundary.
+void StreamingDetector::enforce_budget() {
   const std::size_t target =
       config_.max_open_entries -
       std::max<std::size_t>(1, config_.max_open_entries / 8);
-  if (open_.size() > target) {
-    std::vector<net::TimeNs> touched;
-    touched.reserve(open_.size());
-    for (const auto& [key, entry] : open_) touched.push_back(entry.last_ts);
-    // The k-th oldest last-touch is the eviction cutoff.
-    const std::size_t k = open_.size() - target;
-    std::nth_element(touched.begin(), touched.begin() + (k - 1),
-                     touched.end());
-    const net::TimeNs cutoff = touched[k - 1];
-    for (auto it = open_.begin(); it != open_.end() && open_.size() > target;) {
-      if (it->second.last_ts <= cutoff) {
-        it = open_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  std::uint64_t evicted = 0;
+  while (index_.size() > target && touch_count_ > 0) {
+    if (retire(pop_touch())) ++evicted;
   }
-  const std::uint64_t evicted = before - open_.size();
   evicted_ += evicted;
   telemetry::inc(m_evicted_, evicted);
-  telemetry::set(m_open_entries_, static_cast<std::int64_t>(open_.size()));
+}
+
+void StreamingDetector::open_slot(const ReplicaKey& key, net::TimeNs ts,
+                                  std::uint8_t ttl, net::Prefix prefix24) {
+  std::uint32_t s = free_head_;
+  if (s != kNoSlot) {
+    free_head_ = slab_[s].next_free;
+  } else {
+    s = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  }
+  Slot& slot = slab_[s];
+  slot.key = key;
+  slot.entry = OpenEntry{};
+  slot.entry.first_ts = ts;
+  slot.entry.last_ts = ts;
+  slot.entry.last_ttl = ttl;
+  slot.entry.prefix24 = prefix24;
+  slot.live = true;
+  index_.emplace_hashed(
+      key.hash, [&](std::uint32_t o) { return slab_[o].key == key; }, s, s);
+  push_touch(s, ts);
 }
 
 void StreamingDetector::on_packet(net::TimeNs ts,
                                   std::span<const std::byte> bytes) {
+  const bool late = packets_seen_ > 0 && ts < last_ts_;
+  if (late && last_ts_ - ts > config_.reorder_tolerance_ns) {
+    // Capture jitter beyond the tolerance: counted and dropped.
+    ++packets_seen_;
+    telemetry::inc(m_packets_);
+    ++reorder_dropped_;
+    telemetry::inc(m_reorder_dropped_);
+    return;
+  }
+  reserve_for_packet();
   ++packets_seen_;
   telemetry::inc(m_packets_);
-  if (packets_seen_ > 1 && ts < last_ts_) {
-    // Capture jitter: clamp small regressions into the stream, drop the rest.
-    if (last_ts_ - ts > config_.reorder_tolerance_ns) {
-      ++reorder_dropped_;
-      telemetry::inc(m_reorder_dropped_);
-      return;
-    }
+  if (late) {
     ts = last_ts_;
     ++reordered_;
     telemetry::inc(m_reordered_);
   }
   last_ts_ = ts;
-
-  if (++since_sweep_ >= (1u << 15)) {
+  expire(ts);
+  if (++since_sweep_ >= kTickPackets) {
     since_sweep_ = 0;
-    sweep(ts);
+    tick(ts);
   }
+  process(ts, bytes);
+  telemetry::set(m_open_entries_, static_cast<std::int64_t>(index_.size()));
+}
 
+void StreamingDetector::process(net::TimeNs ts,
+                                std::span<const std::byte> bytes) {
   // Overload sampling (governor tier 3): non-suspect destinations are
   // decimated 1-in-sample_n_ before any parsing or hashing. Suspect /24s
   // keep full fidelity so an in-progress loop's replica count stays exact.
   if (sample_n_ > 1 && bytes.size() >= net::kIpv4HeaderSize) {
     const net::Prefix dst24 =
         net::Prefix::slash24(net::Ipv4Addr(net::read_u32(bytes, 16)));
-    if (!suspects_.contains(dst24) && ++sample_tick_ % sample_n_ != 0) {
+    if (!suspects_.find(dst24) && ++sample_tick_ % sample_n_ != 0) {
       ++sampled_dropped_;
       telemetry::inc(m_sampled_);
       return;
     }
   }
 
-  if (RLOOP_FAILPOINT("streaming.insert")) throw std::bad_alloc();
-
-  const auto parsed = net::parse_packet(bytes);
-  if (!parsed) {
+  const auto ip = net::Ipv4Header::parse(bytes);
+  if (!ip) {
     telemetry::inc(m_parse_failures_);
     return;
   }
-  ReplicaKey key = make_replica_key(bytes);
-
-  if (config_.max_open_entries > 0 &&
-      open_.size() >= config_.max_open_entries && !open_.contains(key)) {
-    enforce_budget(ts);
-  }
-  auto [it, inserted] = open_.try_emplace(std::move(key));
-  peak_open_ = std::max(peak_open_, open_.size());
-  telemetry::set(m_open_entries_, static_cast<std::int64_t>(open_.size()));
-  OpenEntry& entry = it->second;
-  if (inserted || ts - entry.last_ts > config_.stream_timeout) {
-    entry = OpenEntry{};
-    entry.first_ts = ts;
-    entry.last_ts = ts;
-    entry.last_ttl = parsed->ip.ttl;
-    entry.prefix24 = net::Prefix::slash24(parsed->ip.dst);
+  const ReplicaKey key = make_replica_key(bytes);
+  const std::uint32_t* found = index_.find_hashed(
+      key.hash, [&](std::uint32_t s) { return slab_[s].key == key; });
+  if (!found) {
+    if (config_.max_open_entries > 0 &&
+        index_.size() >= config_.max_open_entries) {
+      enforce_budget();
+    }
+    open_slot(key, ts, ip->ttl, net::Prefix::slash24(ip->dst));
+    peak_open_ = std::max(peak_open_, index_.size());
     return;
   }
 
+  const std::uint32_t s = *found;
+  OpenEntry& entry = slab_[s].entry;
+  const net::TimeNs previous_ts = entry.last_ts;
   const int delta =
-      static_cast<int>(entry.last_ttl) - static_cast<int>(parsed->ip.ttl);
+      static_cast<int>(entry.last_ttl) - static_cast<int>(ip->ttl);
+  // Expiry has already removed every entry idle past stream_timeout.
   if (delta < config_.min_ttl_delta) {
     if (delta < 0) {
       // TTL increased: a different original packet with identical bytes.
       entry = OpenEntry{};
       entry.first_ts = ts;
       entry.last_ts = ts;
-      entry.last_ttl = parsed->ip.ttl;
-      entry.prefix24 = net::Prefix::slash24(parsed->ip.dst);
+      entry.last_ttl = ip->ttl;
+      entry.prefix24 = net::Prefix::slash24(ip->dst);
+      if (ts != previous_ts) push_touch(s, ts);
     }
     // Equal/-1 TTL: link-layer duplicate or adjacent hop; not loop evidence.
     return;
   }
 
-  entry.last_ttl = parsed->ip.ttl;
+  entry.last_ttl = ip->ttl;
   entry.last_ts = ts;
   entry.last_delta = delta;
   ++entry.replicas;
+  if (ts != previous_ts) push_touch(s, ts);
   // Two replicas make the entry a loop suspect: exempt its /24 from overload
   // sampling so the stream's count stays exact under degradation.
-  if (entry.replicas == 2) suspects_.insert(entry.prefix24);
+  if (entry.replicas == 2) {
+    suspects_.emplace(entry.prefix24, tick_);
+    suspect_slots_.push_back(s);
+  }
 
   if (entry.replicas >= config_.min_replicas) {
-    auto [alert_it, first_alert] = last_alert_.try_emplace(entry.prefix24, ts);
-    if (!first_alert && ts - alert_it->second < config_.alert_holddown) {
+    auto [last_alert, first_alert] = last_alert_.emplace(entry.prefix24, ts);
+    if (!first_alert && ts - *last_alert < config_.alert_holddown) {
       telemetry::inc(m_suppressed_);
       telemetry::record(
           journal_, {.kind = telemetry::DecisionKind::alert_suppressed,
                      .dst24 = entry.prefix24,
                      .ts = ts,
                      .record_index = static_cast<std::uint32_t>(packets_seen_),
-                     .detail = ts - alert_it->second});
+                     .detail = ts - *last_alert});
       return;
     }
-    alert_it->second = ts;
+    *last_alert = ts;
     ++alerts_raised_;
     telemetry::inc(m_alerts_);
     telemetry::record(
@@ -233,8 +316,9 @@ void StreamingDetector::on_packet(net::TimeNs ts,
 std::vector<StreamingDetector::SuspectEntry>
 StreamingDetector::suspect_entries(std::size_t max) const {
   std::vector<SuspectEntry> out;
-  for (const auto& [key, entry] : open_) {
-    if (entry.replicas < 2) continue;
+  for (const Slot& slot : slab_) {
+    const OpenEntry& entry = slot.entry;
+    if (!slot.live || entry.replicas < 2) continue;
     out.push_back({entry.prefix24, entry.first_ts, entry.last_ts,
                    entry.replicas, entry.last_delta});
   }
@@ -259,10 +343,12 @@ StreamingDetector::Snapshot StreamingDetector::snapshot() const {
   snap.sampled_dropped = sampled_dropped_;
   snap.peak_open = peak_open_;
   snap.since_sweep = since_sweep_;
-  snap.open.reserve(open_.size());
-  for (const auto& [key, entry] : open_) snap.open.emplace_back(key, entry);
+  snap.open.reserve(index_.size());
+  for (const Slot& slot : slab_) {
+    if (slot.live) snap.open.emplace_back(slot.key, slot.entry);
+  }
   // Canonical order: identical state must serialize to identical bytes
-  // regardless of hash-table iteration order.
+  // regardless of which slab slots the entries happen to occupy.
   std::sort(snap.open.begin(), snap.open.end(),
             [](const auto& a, const auto& b) {
               if (a.first.hash != b.first.hash) {
@@ -272,27 +358,56 @@ StreamingDetector::Snapshot StreamingDetector::snapshot() const {
               return a.first.normalized < b.first.normalized;
             });
   snap.holddowns.reserve(last_alert_.size());
-  for (const auto& [prefix, ts] : last_alert_) {
+  last_alert_.for_each([&](const net::Prefix& prefix, net::TimeNs ts) {
     snap.holddowns.emplace_back(prefix, ts);
-  }
+  });
   std::sort(snap.holddowns.begin(), snap.holddowns.end());
   return snap;
 }
 
 void StreamingDetector::restore(const Snapshot& snap) {
-  open_.clear();
-  open_.reserve(snap.open.size());
-  for (const auto& [key, entry] : snap.open) open_.emplace(key, entry);
+  slab_.clear();
+  free_head_ = kNoSlot;
+  index_.clear();
+  suspects_.clear();
+  suspect_slots_.clear();
   last_alert_.clear();
-  last_alert_.reserve(snap.holddowns.size());
+  slab_.reserve(snap.open.size());
+  index_.reserve(snap.open.size());
+  for (const auto& [key, entry] : snap.open) {
+    const auto s = static_cast<std::uint32_t>(slab_.size());
+    if (!index_.emplace_hashed(
+                   key.hash,
+                   [&](std::uint32_t o) { return slab_[o].key == key; }, s, s)
+             .second) {
+      continue;  // a duplicate key in a hand-made snapshot: keep the first
+    }
+    slab_.push_back({key, entry, kNoSlot, true});
+    if (entry.replicas >= 2) {
+      suspects_.emplace(entry.prefix24, tick_);
+      suspect_slots_.push_back(s);
+    }
+  }
   for (const auto& [prefix, ts] : snap.holddowns) {
     last_alert_.emplace(prefix, ts);
+    suspects_.emplace(prefix, tick_);
   }
-  suspects_.clear();
-  for (const auto& [key, entry] : snap.open) {
-    if (entry.replicas >= 2) suspects_.insert(entry.prefix24);
-  }
-  for (const auto& [prefix, ts] : snap.holddowns) suspects_.insert(prefix);
+  // The FIFO is rebuilt in (last_ts, snapshot order): the snapshot does not
+  // record touch order, and this order is deterministic. Expiry does not
+  // depend on it; only the budget's choice among entries touched at the
+  // same instant does.
+  std::vector<std::uint32_t> order(slab_.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return slab_[a].entry.last_ts < slab_[b].entry.last_ts;
+                   });
+  std::size_t capacity = 64;
+  while (capacity < order.size() + 1) capacity <<= 1;
+  touches_.assign(capacity, Touch{});
+  touch_head_ = 0;
+  touch_count_ = 0;
+  for (const std::uint32_t s : order) push_touch(s, slab_[s].entry.last_ts);
   last_ts_ = snap.last_ts;
   packets_seen_ = snap.packets_seen;
   alerts_raised_ = snap.alerts_raised;
@@ -302,7 +417,7 @@ void StreamingDetector::restore(const Snapshot& snap) {
   sampled_dropped_ = snap.sampled_dropped;
   peak_open_ = static_cast<std::size_t>(snap.peak_open);
   since_sweep_ = snap.since_sweep;
-  telemetry::set(m_open_entries_, static_cast<std::int64_t>(open_.size()));
+  telemetry::set(m_open_entries_, static_cast<std::int64_t>(index_.size()));
 }
 
 }  // namespace rloop::core

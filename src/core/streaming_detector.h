@@ -8,15 +8,16 @@
 // alert as soon as any prefix accumulates a replica stream of
 // `min_replicas`, with a per-prefix hold-down to avoid alert storms.
 //
-// Memory is bounded by (packet rate x stream timeout), independent of how
-// long the detector runs.
+// Memory is bounded by the number of distinct packets seen within one
+// stream timeout (packet rate x stream timeout), independent of how long
+// the detector runs: every packet retires the entries that went idle past
+// stream_timeout, in O(1) amortised work, so the open table holds exactly
+// the current window and there is no periodic sweep of it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/replica_detector.h"
@@ -25,6 +26,7 @@
 #include "net/time.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
+#include "util/flat_map.h"
 
 namespace rloop::core {
 
@@ -49,10 +51,11 @@ struct StreamingConfig {
   // never throws on a timestamp regression.
   net::TimeNs reorder_tolerance_ns = 0;
   // Hard budget on tracked replica-candidate entries (0 = unbounded). When
-  // an insert would exceed it, entries idle past stream_timeout go first,
-  // then the oldest-touched entries, down to ~7/8 of the budget
-  // (rloop_streaming_evicted_total) — so millions of distinct /24s fit a
-  // fixed RSS at the cost of possibly restarting a starved stream's count.
+  // an insert would exceed it, the oldest-touched entries are evicted, in
+  // touch order, down to ~7/8 of the budget (rloop_streaming_evicted_total;
+  // entries idle past stream_timeout are already gone and are not counted)
+  // — so millions of distinct /24s fit a fixed RSS at the cost of possibly
+  // restarting a starved stream's count.
   std::size_t max_open_entries = 0;
 };
 
@@ -74,8 +77,10 @@ class StreamingDetector {
   // A complete, self-contained copy of the detector's mutable state: feed
   // the same packets to a restore()d detector and to the original and they
   // produce identical alerts. snapshot() sorts the open entries and
-  // hold-downs so the same state always serializes to the same bytes
-  // (unordered_map iteration order is not deterministic).
+  // hold-downs (open entries by key hash, then key bytes) so the same state
+  // always serializes to the same bytes, whichever table slots it occupies.
+  // The order in which entries were last touched is not part of it:
+  // restore() rebuilds the expiry order from last_ts.
   struct Snapshot {
     net::TimeNs last_ts = 0;
     std::uint64_t packets_seen = 0;
@@ -99,7 +104,10 @@ class StreamingDetector {
                     telemetry::DecisionLog* journal = nullptr);
 
   // Feed one captured packet (bytes start at the IP header). Timestamps may
-  // regress by up to reorder_tolerance_ns (clamped) — never throws.
+  // regress by up to reorder_tolerance_ns (clamped) — never throws on them.
+  // If growing the detector's own tables throws std::bad_alloc, the
+  // detector is left exactly as if it had never been given the packet (the
+  // alert callback and the decision journal are outside that guarantee).
   void on_packet(net::TimeNs ts, std::span<const std::byte> bytes);
 
   // Replaces the tunable thresholds (reload path for a long-running daemon).
@@ -155,14 +163,35 @@ class StreamingDetector {
   // Entries evicted by the max_open_entries budget (not by normal timeout).
   std::uint64_t evicted() const { return evicted_; }
   // Open replica-candidate entries currently tracked (for memory tests).
-  std::size_t open_entries() const { return open_.size(); }
+  std::size_t open_entries() const { return index_.size(); }
   // High-water mark of open_entries() over the detector's lifetime; with a
   // budget configured this never exceeds max_open_entries.
   std::size_t peak_open_entries() const { return peak_open_; }
 
  private:
-  void sweep(net::TimeNs now);
-  void enforce_budget(net::TimeNs now);
+  // One slab slot: an open entry while `live`, a free-list link otherwise.
+  struct Slot {
+    ReplicaKey key;
+    OpenEntry entry;
+    std::uint32_t next_free = 0;
+    bool live = false;
+  };
+  // Expiry FIFO record: slot `slot` had its last_ts set to `ts`.
+  struct Touch {
+    std::uint32_t slot = 0;
+    net::TimeNs ts = 0;
+  };
+
+  void reserve_for_packet();
+  void process(net::TimeNs ts, std::span<const std::byte> bytes);
+  void expire(net::TimeNs now);
+  void tick(net::TimeNs now);
+  void enforce_budget();
+  void open_slot(const ReplicaKey& key, net::TimeNs ts, std::uint8_t ttl,
+                 net::Prefix prefix24);
+  bool retire(const Touch& touch);
+  void push_touch(std::uint32_t slot, net::TimeNs ts);
+  Touch pop_touch();
 
   StreamingConfig config_;
   AlertCallback on_alert_;
@@ -176,12 +205,29 @@ class StreamingDetector {
   telemetry::Counter* m_evicted_ = nullptr;
   telemetry::Counter* m_sampled_ = nullptr;
   telemetry::Gauge* m_open_entries_ = nullptr;
-  std::unordered_map<ReplicaKey, OpenEntry, ReplicaKeyHash> open_;
-  std::unordered_map<net::Prefix, net::TimeNs> last_alert_;
+  // Open entries live in slab_; index_ maps the key's FNV hash to the slot
+  // (key and value are both the slot; lookups compare slab_[slot].key), so
+  // a map slot is 16 B and robin-hood moves never copy a ReplicaKey.
+  std::vector<Slot> slab_;
+  std::uint32_t free_head_ = ~std::uint32_t{0};
+  util::FlatMap<std::uint32_t, std::uint32_t> index_;
+  // Arrival-order expiry FIFO, a power-of-two ring. Timestamps are monotone
+  // after the reorder clamp, so records are in last_ts order; a record is
+  // stale once its slot's entry was retouched, freed or reused.
+  std::vector<Touch> touches_;
+  std::size_t touch_head_ = 0;
+  std::size_t touch_count_ = 0;
+  util::FlatMap<net::Prefix, net::TimeNs> last_alert_;
   // /24s exempt from overload sampling: any open entry that has already
-  // accumulated >=2 replicas, plus recently alerted prefixes. Rebuilt from
-  // open_/last_alert_ on sweep so it cannot grow without bound.
-  std::unordered_set<net::Prefix> suspects_;
+  // accumulated >=2 replicas, plus recently alerted prefixes. Trimmed every
+  // 32 Ki packets so it cannot grow without bound; the value is the tick
+  // that last confirmed the prefix.
+  util::FlatMap<net::Prefix, std::uint32_t> suspects_;
+  // Slots whose entry reached 2 replicas (may hold freed or reused slots
+  // until the next tick); the tick rebuilds suspects_ from this list, not
+  // from a scan of the slab.
+  std::vector<std::uint32_t> suspect_slots_;
+  std::uint32_t tick_ = 0;
   net::TimeNs last_ts_ = 0;
   std::uint64_t packets_seen_ = 0;
   std::uint64_t alerts_raised_ = 0;

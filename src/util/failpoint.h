@@ -38,7 +38,8 @@
 //   daemon.governor.degrade  injected overload: escalate straight to
 //                            sample_suspects (the /readyz 503 drill)
 //   daemon.checkpoint.write  checkpoint write fails (counted, state kept)
-//   streaming.insert      detector insert throws std::bad_alloc
+//   streaming.insert      on_packet throws std::bad_alloc before it
+//                         changes any detector state
 //   pcap.read             record read treated as a truncated capture
 //   pcap.mmap             mmap path reports failure; ifstream fallback runs
 //   arena.alloc           Arena chunk growth throws std::bad_alloc

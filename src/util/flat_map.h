@@ -222,11 +222,14 @@ class FlatMap {
     rehash(cap);
   }
 
+  // Allocates the new arrays before touching the old ones, so a
+  // std::bad_alloc leaves the map unchanged.
   void rehash(std::size_t new_capacity) {
-    std::vector<Slot> old_slots = std::move(slots_);
-    std::vector<std::uint8_t> old_dist = std::move(dist_);
-    slots_.assign(new_capacity, Slot{});
-    dist_.assign(new_capacity, 0);
+    std::vector<Slot> new_slots(new_capacity);
+    std::vector<std::uint8_t> new_dist(new_capacity, 0);
+    std::vector<Slot> old_slots = std::exchange(slots_, std::move(new_slots));
+    std::vector<std::uint8_t> old_dist =
+        std::exchange(dist_, std::move(new_dist));
     mask_ = new_capacity - 1;
     size_ = 0;
     for (std::size_t i = 0; i < old_slots.size(); ++i) {
