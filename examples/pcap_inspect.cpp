@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <string>
 
 #include "analysis/table.h"
@@ -147,7 +148,13 @@ int main(int argc, char** argv) {
               net::to_seconds(trace.duration()),
               trace.average_bandwidth_mbps());
 
-  const auto result = core::detect_loops(trace, opts.detector);
+  core::LoopDetectionResult result;
+  try {
+    result = core::detect_loops(trace, opts.detector);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "error: out of memory during loop detection\n");
+    return 1;
+  }
 
   analysis::TextTable mix({"Type", "All traffic", "Looped traffic"});
   const auto all = core::traffic_type_mix(result.records);

@@ -212,36 +212,15 @@ void Daemon::publish_observability(bool final_publish) {
   if (obs_hub_ == nullptr) return;
 
   StatusSnapshot s;
+  s.stats = stats();
   s.started = obs_started_;
   s.draining = final_publish || stop_requested();
-  s.source = source_ ? source_->name() : "";
   s.start_unix_s = start_unix_s_;
   s.uptime_s = uptime_s;
-  s.pushed = pushed_.load(std::memory_order_relaxed);
-  s.consumed = consumed_.load(std::memory_order_relaxed);
-  s.dropped = dropped_.load(std::memory_order_relaxed);
   s.ring_capacity = config_.use_ring ? ring_.capacity() : 0;
   s.ring_occupancy = config_.use_ring ? ring_.size_approx() : 0;
-  s.epochs = epochs_;
-  s.alerts = alerts_;
-  s.reordered = detector_.reordered();
-  s.reorder_dropped = detector_.reorder_dropped();
-  s.evicted = detector_.evicted();
-  s.sampled_dropped = detector_.sampled_dropped();
-  s.open_entries = detector_.open_entries();
-  s.peak_open_entries = detector_.peak_open_entries();
-  s.last_packet_ts = last_packet_ts_;
-  s.config_epoch = reloads_;
   s.checkpoint_seq = ckpt_seq_;
-  s.checkpoints_written = checkpoints_written_;
-  s.checkpoint_failures = checkpoint_failures_;
   s.checkpoint_wall_unix_s = last_ckpt_wall_unix_s_;
-  s.restored_seq = restore_info_.restored ? restore_info_.seq : 0;
-  s.degrade_tier =
-      config_.governor_enabled ? static_cast<int>(governor_.tier()) : 0;
-  s.degrade_escalations = governor_.escalations();
-  s.degrade_deescalations = governor_.deescalations();
-  s.alloc_failures = governor_.alloc_failures();
   obs_hub_->publish_status(s);
 
   // Demand-paged: the suspect-table copy (filter + sort over every open

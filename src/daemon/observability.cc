@@ -48,9 +48,9 @@ std::string StatusSnapshot::to_json(std::uint64_t now_unix_s) const {
   out += ",\"ready\":";
   const bool ready =
       started && !draining &&
-      degrade_tier <= static_cast<int>(DegradeTier::widen_batching);
+      stats.degrade_tier <= static_cast<int>(DegradeTier::widen_batching);
   out += ready ? "true" : "false";
-  field_str(out, "source", source);
+  field_str(out, "source", stats.source);
   field(out, "start_unix_s", start_unix_s);
   out += ",\"uptime_s\":";
   {
@@ -59,29 +59,30 @@ std::string StatusSnapshot::to_json(std::uint64_t now_unix_s) const {
     out += buf;
   }
   out += ",\"ring\":{";
-  field(out, "pushed", pushed, /*first=*/true);
-  field(out, "consumed", consumed);
-  field(out, "dropped", dropped);
+  field(out, "pushed", stats.pushed, /*first=*/true);
+  field(out, "consumed", stats.consumed);
+  field(out, "dropped", stats.dropped);
   field(out, "capacity", ring_capacity);
   field(out, "occupancy", ring_occupancy);
   out += "}";
   out += ",\"detector\":{";
-  field(out, "epochs", epochs, /*first=*/true);
-  field(out, "alerts", alerts);
-  field(out, "reordered", reordered);
-  field(out, "reorder_dropped", reorder_dropped);
-  field(out, "evicted", evicted);
-  field(out, "sampled_dropped", sampled_dropped);
-  field(out, "open_entries", open_entries);
-  field(out, "peak_open_entries", peak_open_entries);
-  field(out, "last_packet_ts_ns", static_cast<std::uint64_t>(last_packet_ts));
+  field(out, "epochs", stats.epochs, /*first=*/true);
+  field(out, "alerts", stats.alerts);
+  field(out, "reordered", stats.reordered);
+  field(out, "reorder_dropped", stats.reorder_dropped);
+  field(out, "evicted", stats.evicted);
+  field(out, "sampled_dropped", stats.sampled_dropped);
+  field(out, "open_entries", stats.open_entries);
+  field(out, "peak_open_entries", stats.peak_open_entries);
+  field(out, "last_packet_ts_ns",
+        static_cast<std::uint64_t>(stats.last_packet_ts));
   out += "}";
-  field(out, "config_epoch", config_epoch);
+  field(out, "config_epoch", stats.reloads);
   out += ",\"checkpoint\":{";
   field(out, "seq", checkpoint_seq, /*first=*/true);
-  field(out, "written", checkpoints_written);
-  field(out, "failures", checkpoint_failures);
-  field(out, "restored_seq", restored_seq);
+  field(out, "written", stats.checkpoints_written);
+  field(out, "failures", stats.checkpoint_failures);
+  field(out, "restored_seq", stats.restored_seq);
   if (checkpoint_wall_unix_s != 0 && now_unix_s >= checkpoint_wall_unix_s) {
     field(out, "age_s", now_unix_s - checkpoint_wall_unix_s);
   } else {
@@ -89,12 +90,13 @@ std::string StatusSnapshot::to_json(std::uint64_t now_unix_s) const {
   }
   out += "}";
   out += ",\"governor\":{";
-  field(out, "tier", static_cast<std::uint64_t>(degrade_tier), /*first=*/true);
+  field(out, "tier", static_cast<std::uint64_t>(stats.degrade_tier),
+        /*first=*/true);
   field_str(out, "tier_name",
-            degrade_tier_name(static_cast<DegradeTier>(degrade_tier)));
-  field(out, "escalations", degrade_escalations);
-  field(out, "deescalations", degrade_deescalations);
-  field(out, "alloc_failures", alloc_failures);
+            degrade_tier_name(static_cast<DegradeTier>(stats.degrade_tier)));
+  field(out, "escalations", stats.degrade_escalations);
+  field(out, "deescalations", stats.degrade_deescalations);
+  field(out, "alloc_failures", stats.alloc_failures);
   out += "}}";
   return out;
 }
@@ -305,11 +307,12 @@ net::HttpResponse ObservabilityServer::readyz(const net::HttpRequest&) {
     resp.body = "not ready: draining\n";
     return resp;
   }
-  if (status.degrade_tier > static_cast<int>(DegradeTier::widen_batching)) {
+  if (status.stats.degrade_tier >
+      static_cast<int>(DegradeTier::widen_batching)) {
     resp.status = 503;
     resp.body = std::string("not ready: degraded (") +
                 degrade_tier_name(
-                    static_cast<DegradeTier>(status.degrade_tier)) +
+                    static_cast<DegradeTier>(status.stats.degrade_tier)) +
                 ")\n";
     return resp;
   }

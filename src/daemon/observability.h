@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/streaming_detector.h"
+#include "daemon/daemon.h"
 #include "daemon/governor.h"
 #include "net/http_server.h"
 #include "net/time.h"
@@ -48,47 +49,19 @@
 namespace rloop::daemon {
 
 // Everything /status and /readyz need, copied from the daemon at epoch
-// boundaries. Consistent within one publish (single writer, whole-struct
-// copy under the hub lock).
+// boundaries: the daemon's stats plus the fields only a live daemon has.
+// Consistent within one publish (single writer, whole-struct copy under the
+// hub lock).
 struct StatusSnapshot {
+  DaemonStats stats;
   bool started = false;   // consumer loop entered (restore already decided)
   bool draining = false;  // stop requested or source exhausted
-  std::string source;
   std::uint64_t start_unix_s = 0;
   double uptime_s = 0;
-
-  // Ring ledger (pushed == consumed + dropped at rest).
-  std::uint64_t pushed = 0;
-  std::uint64_t consumed = 0;
-  std::uint64_t dropped = 0;
   std::uint64_t ring_capacity = 0;
   std::uint64_t ring_occupancy = 0;
-
-  std::uint64_t epochs = 0;
-  std::uint64_t alerts = 0;
-  std::uint64_t reordered = 0;
-  std::uint64_t reorder_dropped = 0;
-  std::uint64_t evicted = 0;
-  std::uint64_t sampled_dropped = 0;
-  std::uint64_t open_entries = 0;
-  std::uint64_t peak_open_entries = 0;
-  net::TimeNs last_packet_ts = 0;
-
-  // Config epoch: SIGHUP reloads applied since start (0 = boot config).
-  std::uint64_t config_epoch = 0;
-
-  // Checkpointing.
   std::uint64_t checkpoint_seq = 0;
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t checkpoint_failures = 0;
   std::uint64_t checkpoint_wall_unix_s = 0;  // newest snapshot; 0 = none yet
-  std::uint64_t restored_seq = 0;            // 0 = cold start
-
-  // Governor.
-  int degrade_tier = 0;
-  std::uint64_t degrade_escalations = 0;
-  std::uint64_t degrade_deescalations = 0;
-  std::uint64_t alloc_failures = 0;
 
   // One JSON object (the /status payload). `now_unix_s` turns
   // checkpoint_wall_unix_s into a checkpoint_age_s field.

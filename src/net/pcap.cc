@@ -1,23 +1,12 @@
 #include "net/pcap.h"
 
 #include <array>
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <vector>
-
-#include "net/byteio.h"
-#include "util/failpoint.h"
 
 namespace rloop::net {
 
 namespace {
-
-constexpr std::size_t kFileHeaderSize = 24;
-constexpr std::size_t kRecordHeaderSize = 16;
-constexpr std::size_t kEthernetHeaderSize = 14;
-constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
 
 void put_le32(std::ofstream& out, std::uint32_t v) {
   const std::array<char, 4> b = {
@@ -30,41 +19,6 @@ void put_le16(std::ofstream& out, std::uint16_t v) {
   const std::array<char, 2> b = {static_cast<char>(v & 0xff),
                                  static_cast<char>((v >> 8) & 0xff)};
   out.write(b.data(), b.size());
-}
-
-// Reads a little- or big-endian u32/u16 depending on the file's byte order.
-std::uint32_t get_u32(const unsigned char* p, bool swapped) {
-  if (swapped) {
-    return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-           (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-  }
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
-         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
-}
-
-std::uint16_t get_u16be(const unsigned char* p) {
-  return static_cast<std::uint16_t>((std::uint16_t{p[0]} << 8) |
-                                    std::uint16_t{p[1]});
-}
-
-// Reads exactly `n` bytes unless the stream ends first; returns how many
-// bytes landed in `out`. A read interrupted by a signal (EINTR bubbling up
-// through the filebuf as failbit) is retried from where it stopped instead
-// of being mistaken for a truncated capture.
-std::streamsize read_full(std::istream& in, char* out, std::streamsize n) {
-  std::streamsize got = 0;
-  while (got < n) {
-    errno = 0;
-    in.read(out + got, n - got);
-    got += in.gcount();
-    if (got == n || in.eof()) break;
-    if (in.fail() && errno == EINTR) {
-      in.clear();
-      continue;
-    }
-    break;  // genuine I/O error: report the short read
-  }
-  return got;
 }
 
 }  // namespace
@@ -94,130 +48,6 @@ void write_pcap(const Trace& trace, const std::string& path) {
   }
   out.close();
   if (out.fail()) throw std::runtime_error("write_pcap: write failure " + path);
-}
-
-Trace read_pcap(const std::string& path, telemetry::Registry* registry) {
-  telemetry::Counter* m_records = telemetry::get_counter(
-      registry, "rloop_pcap_records_total", {},
-      "pcap records read into the trace");
-  telemetry::Counter* m_skipped_short = telemetry::get_counter(
-      registry, "rloop_pcap_records_skipped_total",
-      {{"reason", "short_ethernet"}}, "pcap records skipped while reading");
-  telemetry::Counter* m_skipped_non_ipv4 = telemetry::get_counter(
-      registry, "rloop_pcap_records_skipped_total", {{"reason", "non_ipv4"}},
-      "pcap records skipped while reading");
-  telemetry::Counter* m_truncated = telemetry::get_counter(
-      registry, "rloop_pcap_truncated_records_total", {},
-      "pcap records dropped because the capture ended mid-record");
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_pcap: cannot open " + path);
-
-  std::array<unsigned char, kFileHeaderSize> fh{};
-  if (read_full(in, reinterpret_cast<char*>(fh.data()), fh.size()) !=
-      static_cast<std::streamsize>(fh.size())) {
-    throw std::runtime_error("read_pcap: truncated file header");
-  }
-
-  const std::uint32_t magic_le = get_u32(fh.data(), /*swapped=*/false);
-  const std::uint32_t magic_be = get_u32(fh.data(), /*swapped=*/true);
-  bool swapped = false;
-  bool nanos = false;
-  if (magic_le == kPcapMagicMicros) {
-    nanos = false;
-  } else if (magic_le == kPcapMagicNanos) {
-    nanos = true;
-  } else if (magic_be == kPcapMagicMicros) {
-    swapped = true;
-  } else if (magic_be == kPcapMagicNanos) {
-    swapped = true;
-    nanos = true;
-  } else {
-    throw std::runtime_error("read_pcap: bad magic in " + path);
-  }
-
-  const std::uint32_t linktype = get_u32(fh.data() + 20, swapped);
-  if (linktype != kLinktypeRaw && linktype != kLinktypeEthernet) {
-    throw std::runtime_error("read_pcap: unsupported linktype " +
-                             std::to_string(linktype));
-  }
-
-  Trace trace("pcap:" + path, 0);
-  bool have_epoch = false;
-  TimeNs last_ts = 0;
-  std::vector<unsigned char> buf;
-  std::array<unsigned char, kRecordHeaderSize> rh{};
-
-  for (;;) {
-    const std::streamsize header_got =
-        read_full(in, reinterpret_cast<char*>(rh.data()), rh.size());
-    if (header_got == 0) break;  // clean end of capture
-    if (header_got < static_cast<std::streamsize>(rh.size())) {
-      // A partial record header at EOF is the same truncation case as a
-      // partial body: count it rather than silently treating it as a clean
-      // end.
-      telemetry::inc(m_truncated);
-      break;
-    }
-    // Injected read failure: the capture "ends" here mid-record.
-    if (RLOOP_FAILPOINT("pcap.read")) {
-      telemetry::inc(m_truncated);
-      break;
-    }
-    const std::uint32_t sec = get_u32(rh.data(), swapped);
-    const std::uint32_t frac = get_u32(rh.data() + 4, swapped);
-    const std::uint32_t cap_len = get_u32(rh.data() + 8, swapped);
-    const std::uint32_t wire_len = get_u32(rh.data() + 12, swapped);
-    if (cap_len > (1u << 20)) {
-      throw std::runtime_error("read_pcap: implausible record length");
-    }
-    buf.resize(cap_len);
-    if (read_full(in, reinterpret_cast<char*>(buf.data()), cap_len) !=
-        static_cast<std::streamsize>(cap_len)) {
-      // The capture ends mid-record (killed tcpdump, full disk): keep what
-      // was read and count the remnant instead of failing the whole trace.
-      telemetry::inc(m_truncated);
-      break;
-    }
-
-    if (!have_epoch) {
-      trace.set_epoch_unix_s(static_cast<std::int64_t>(sec));
-      have_epoch = true;
-    }
-    const std::int64_t frac_ns = nanos ? frac : std::int64_t{frac} * 1000;
-    TimeNs ts = (static_cast<std::int64_t>(sec) - trace.epoch_unix_s()) *
-                    kSecond +
-                frac_ns;
-    // Tolerate mild reordering in foreign captures: the in-memory trace is
-    // timestamp-ordered by contract.
-    if (ts < last_ts) ts = last_ts;
-    last_ts = ts;
-
-    const unsigned char* pkt = buf.data();
-    std::size_t pkt_len = buf.size();
-    std::uint32_t pkt_wire_len = wire_len;
-    if (linktype == kLinktypeEthernet) {
-      if (pkt_len < kEthernetHeaderSize) {
-        telemetry::inc(m_skipped_short);
-        continue;
-      }
-      if (get_u16be(pkt + 12) != kEtherTypeIpv4) {
-        telemetry::inc(m_skipped_non_ipv4);
-        continue;
-      }
-      pkt += kEthernetHeaderSize;
-      pkt_len -= kEthernetHeaderSize;
-      pkt_wire_len = pkt_wire_len >= kEthernetHeaderSize
-                         ? pkt_wire_len - kEthernetHeaderSize
-                         : 0;
-    }
-    telemetry::inc(m_records);
-    trace.add(ts,
-              std::span<const std::byte>(
-                  reinterpret_cast<const std::byte*>(pkt), pkt_len),
-              pkt_wire_len);
-  }
-  return trace;
 }
 
 }  // namespace rloop::net

@@ -2,16 +2,16 @@
 //
 // Writing uses the nanosecond-resolution magic (0xa1b23c4d) with LINKTYPE_RAW
 // (101: packets begin with the IPv4 header), matching the library's 40-byte
-// snaplen traces. Reading additionally accepts microsecond files, either byte
-// order, and LINKTYPE_EN10MB (Ethernet framing is stripped and non-IPv4
-// frames are skipped), so the detector runs on ordinary captures.
+// snaplen traces. Reading (net/pcap_mmap.h: read_pcap_fast) additionally
+// accepts microsecond files, either byte order, and LINKTYPE_EN10MB
+// (Ethernet framing is stripped and non-IPv4 frames are skipped), so the
+// detector runs on ordinary captures.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "net/trace.h"
-#include "telemetry/registry.h"
 
 namespace rloop::net {
 
@@ -23,17 +23,5 @@ inline constexpr std::uint32_t kLinktypeEthernet = 1;
 // Writes `trace` to `path`. Timestamps are emitted as absolute
 // (epoch_unix_s + record ts). Throws std::runtime_error on I/O failure.
 void write_pcap(const Trace& trace, const std::string& path);
-
-// Reads a pcap file into a Trace (capped at kSnapLen captured bytes per
-// record). The first record's absolute second becomes the trace epoch.
-// Throws std::runtime_error on I/O failure or malformed file structure. A
-// capture that ends mid-record (killed tcpdump, full disk) is NOT malformed:
-// the complete records are kept and the remnant is counted in
-// rloop_pcap_truncated_records_total. `registry` (optional) additionally
-// receives rloop_pcap_records_total and per-reason
-// rloop_pcap_records_skipped_total counters.
-// See net/pcap_mmap.h for the zero-copy variant (read_pcap_fast).
-Trace read_pcap(const std::string& path,
-                telemetry::Registry* registry = nullptr);
 
 }  // namespace rloop::net

@@ -4,16 +4,22 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "net/byteio.h"
 #include "net/pcap.h"
 #include "util/failpoint.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define RLOOP_HAVE_MMAP 1
+#include <cerrno>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
+#else
+#include <fstream>
+#include <iterator>
 #endif
 
 namespace rloop::net {
@@ -31,12 +37,6 @@ std::uint32_t get_u32(const std::byte* p, bool swapped) {
   };
   if (swapped) return (b(0) << 24) | (b(1) << 16) | (b(2) << 8) | b(3);
   return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
-}
-
-std::uint16_t get_u16be(const std::byte* p) {
-  return static_cast<std::uint16_t>(
-      (std::uint16_t{std::to_integer<std::uint8_t>(p[0])} << 8) |
-      std::uint16_t{std::to_integer<std::uint8_t>(p[1])});
 }
 
 }  // namespace
@@ -99,6 +99,11 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
       telemetry::inc(m_truncated);
       break;
     }
+    // Injected read failure: the capture "ends" here mid-record.
+    if (RLOOP_FAILPOINT("pcap.read")) {
+      telemetry::inc(m_truncated);
+      break;
+    }
     const std::byte* rh = data.data() + off;
     const std::uint32_t sec = get_u32(rh, swapped);
     const std::uint32_t frac = get_u32(rh + 4, swapped);
@@ -135,7 +140,7 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
         telemetry::inc(m_skipped_short);
         continue;
       }
-      if (get_u16be(pkt + 12) != kEtherTypeIpv4) {
+      if (read_u16({pkt, pkt_len}, 12) != kEtherTypeIpv4) {
         telemetry::inc(m_skipped_non_ipv4);
         continue;
       }
@@ -153,34 +158,40 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
 
 #if defined(RLOOP_HAVE_MMAP)
 
-std::optional<Trace> read_pcap_mmap(const std::string& path,
-                                    telemetry::Registry* registry) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw std::runtime_error("read_pcap: cannot open " + path);
+namespace {
 
-  // Injected mmap failure: report the path unavailable so the caller takes
-  // the ifstream fallback, exactly like a real mmap refusal.
-  if (RLOOP_FAILPOINT("pcap.mmap")) {
-    ::close(fd);
-    return std::nullopt;
+// A read-only descriptor, closed on every exit path.
+class ReadOnlyFd {
+ public:
+  explicit ReadOnlyFd(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY)) {
+    if (fd_ < 0) throw std::runtime_error("read_pcap: cannot open " + path);
   }
+  ~ReadOnlyFd() { ::close(fd_); }
+  ReadOnlyFd(const ReadOnlyFd&) = delete;
+  ReadOnlyFd& operator=(const ReadOnlyFd&) = delete;
+
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+// Maps the file open at `fd` and parses it in place; std::nullopt when it
+// cannot be mapped, with nothing read from `fd`.
+std::optional<Trace> parse_mapped(int fd, const std::string& path,
+                                  telemetry::Registry* registry) {
+  // Injected mmap failure: report the file unmappable, exactly like a real
+  // mmap refusal.
+  if (RLOOP_FAILPOINT("pcap.mmap")) return std::nullopt;
 
   struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
-    return std::nullopt;  // pipe/socket/device: fall back to streaming
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size == 0) {
+    return std::nullopt;  // pipe/socket/device, or nothing to map
   }
-  if (st.st_size == 0) {
-    ::close(fd);
-    throw std::runtime_error("read_pcap: truncated file header");
-  }
-
   const auto size = static_cast<std::size_t>(st.st_size);
   void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (map == MAP_FAILED) {
-    ::close(fd);
-    return std::nullopt;
-  }
+  if (map == MAP_FAILED) return std::nullopt;
 #if defined(MADV_SEQUENTIAL)
   ::madvise(map, size, MADV_SEQUENTIAL);
 #endif
@@ -190,15 +201,14 @@ std::optional<Trace> read_pcap_mmap(const std::string& path,
   // A writer may have truncated the file between open and here (rotating
   // capture tooling does exactly this). Pages past the new EOF are no
   // longer backed — touching them raises SIGBUS, not a read error — so
-  // re-check the size while the fd is still open and parse only the span
-  // the file still covers; the parser then counts the cut as an ordinary
-  // truncated record instead of the process dying mid-read.
+  // re-check the size and parse only the span the file still covers; the
+  // parser then counts the cut as an ordinary truncated record instead of
+  // the process dying mid-read.
   std::size_t effective = size;
   struct stat st2{};
   if (::fstat(fd, &st2) == 0 && S_ISREG(st2.st_mode)) {
     effective = std::min(size, static_cast<std::size_t>(st2.st_size));
   }
-  ::close(fd);  // the mapping keeps the file alive
 
   try {
     Trace trace = parse_pcap_buffer(
@@ -213,6 +223,43 @@ std::optional<Trace> read_pcap_mmap(const std::string& path,
   }
 }
 
+// Reads `fd` to its end. A read interrupted by a signal is retried instead
+// of being mistaken for the end of the capture; a genuine I/O error ends
+// the input where it stopped, so the parser counts the torn tail.
+std::vector<std::byte> read_whole(int fd) {
+  std::vector<std::byte> bytes(std::size_t{1} << 16);
+  std::size_t got = 0;
+  for (;;) {
+    if (got == bytes.size()) bytes.resize(bytes.size() * 2);
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      break;
+    }
+  }
+  bytes.resize(got);
+  return bytes;
+}
+
+}  // namespace
+
+std::optional<Trace> read_pcap_mmap(const std::string& path,
+                                    telemetry::Registry* registry) {
+  const ReadOnlyFd fd(path);
+  return parse_mapped(fd.get(), path, registry);
+}
+
+Trace read_pcap_fast(const std::string& path, telemetry::Registry* registry) {
+  const ReadOnlyFd fd(path);
+  if (auto trace = parse_mapped(fd.get(), path, registry)) {
+    return *std::move(trace);
+  }
+  return parse_pcap_buffer(read_whole(fd.get()), "pcap:" + path, registry);
+}
+
 #else  // !RLOOP_HAVE_MMAP
 
 std::optional<Trace> read_pcap_mmap(const std::string&,
@@ -220,13 +267,15 @@ std::optional<Trace> read_pcap_mmap(const std::string&,
   return std::nullopt;
 }
 
-#endif
-
 Trace read_pcap_fast(const std::string& path, telemetry::Registry* registry) {
-  if (auto trace = read_pcap_mmap(path, registry)) {
-    return *std::move(trace);
-  }
-  return read_pcap(path, registry);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("read_pcap: cannot open " + path);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  return parse_pcap_buffer(std::as_bytes(std::span(bytes)), "pcap:" + path,
+                           registry);
 }
+
+#endif
 
 }  // namespace rloop::net

@@ -40,9 +40,12 @@
 //   daemon.checkpoint.write  checkpoint write fails (counted, state kept)
 //   streaming.insert      on_packet throws std::bad_alloc before it
 //                         changes any detector state
-//   pcap.read             record read treated as a truncated capture
-//   pcap.mmap             mmap path reports failure; ifstream fallback runs
-//   arena.alloc           Arena chunk growth throws std::bad_alloc
+//   pcap.read             record read treated as a truncated capture (in
+//                         parse_pcap_buffer, so on every ingest path)
+//   pcap.mmap             mmap path reports failure; the input is read
+//                         whole and parsed from memory instead
+//   arena.alloc           Arena chunk growth throws std::bad_alloc (offline
+//                         detection only; the daemon builds no Arena)
 //   flat_map.grow         FlatMap rehash/growth throws std::bad_alloc
 #pragma once
 

@@ -17,6 +17,7 @@
 #include "core/loop_detector.h"
 #include "core/report.h"
 #include "net/pcap.h"
+#include "net/pcap_mmap.h"
 #include "scenarios/backbone.h"
 
 using namespace rloop;
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
 
   // Detect over the re-read trace so the fixture covers pcap I/O exactly as
   // the test does.
-  const auto trace = net::read_pcap(pcap_path);
+  const auto trace = net::read_pcap_fast(pcap_path);
   const auto result = core::detect_loops(trace);
 
   core::ReportOptions options;

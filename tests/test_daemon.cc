@@ -18,6 +18,7 @@
 #include "json_lite.h"
 #include "net/packet.h"
 #include "net/pcap.h"
+#include "net/pcap_mmap.h"
 #include "telemetry/exporter.h"
 
 namespace rloop::daemon {
@@ -84,7 +85,7 @@ class SyntheticSource : public PacketSource {
 // epochs) must produce the byte-identical alert sequence to a
 // StreamingDetector fed directly, for both ring and inline modes.
 TEST(Daemon, GoldenTraceAlertsMatchDirectDetectorExactly) {
-  const auto trace = net::read_pcap(golden_path("golden_trace.pcap"));
+  const auto trace = net::read_pcap_fast(golden_path("golden_trace.pcap"));
   ASSERT_GT(trace.size(), 0u);
   const core::StreamingConfig streaming =
       DaemonConfig::daemon_streaming_defaults();
@@ -124,7 +125,7 @@ TEST(Daemon, GoldenAlertsMatchPinnedFile) {
   for (std::string line; std::getline(pin, line);) lines.push_back(line);
   ASSERT_FALSE(lines.empty());
 
-  const auto trace = net::read_pcap(golden_path("golden_trace.pcap"));
+  const auto trace = net::read_pcap_fast(golden_path("golden_trace.pcap"));
   DaemonConfig config;  // rloopd defaults
   std::vector<core::LoopAlert> alerts;
   Daemon d(config, std::make_unique<ReplaySource>(trace, "golden", 0),
@@ -287,7 +288,7 @@ TEST(Daemon, StatsJsonIsValidAndCarriesTheInvariant) {
 // The source name embeds the capture path, which may hold any byte but NUL;
 // the --stats-out document must stay valid JSON whatever the path is.
 TEST(Daemon, StatsJsonEscapesControlCharactersInTheSource) {
-  const auto trace = net::read_pcap(golden_path("golden_trace.pcap"));
+  const auto trace = net::read_pcap_fast(golden_path("golden_trace.pcap"));
   for (const char* odd : {"\t", "\n", "\r", "\x01", "\x1f", "\"", "\\"}) {
     SCOPED_TRACE(static_cast<int>(odd[0]));
     const std::string name = std::string("pcap:/captures/run") + odd + ".pcap";

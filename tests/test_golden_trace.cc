@@ -20,6 +20,7 @@
 #include "core/report.h"
 #include "json_lite.h"
 #include "net/pcap.h"
+#include "net/pcap_mmap.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/trace.h"
 
@@ -47,7 +48,7 @@ core::ReportOptions golden_report_options() {
 }
 
 TEST(GoldenTrace, SerialPipelineReproducesCommittedJson) {
-  const auto trace = net::read_pcap(golden_path("golden_trace.pcap"));
+  const auto trace = net::read_pcap_fast(golden_path("golden_trace.pcap"));
   ASSERT_GT(trace.size(), 0u);
   const auto result = core::detect_loops(trace);
   ASSERT_GT(result.loops.size(), 0u)
@@ -77,7 +78,7 @@ std::vector<std::pair<std::string, int>> compressed_reasons(
 // merged-loop prefix is pinned, and both artifacts are written to the test's
 // working directory (CI uploads them — see .github/workflows/ci.yml).
 TEST(GoldenTrace, ObservabilitySpansAndDecisionJournal) {
-  const auto trace = net::read_pcap(golden_path("golden_trace.pcap"));
+  const auto trace = net::read_pcap_fast(golden_path("golden_trace.pcap"));
   ASSERT_GT(trace.size(), 0u);
   // 198.96.38.0/24 is the golden trace's merged loop: two 62-replica streams
   // ~3.4 s apart folded into one loop (see golden_expected.json).
@@ -144,7 +145,7 @@ TEST(GoldenTrace, ObservabilitySpansAndDecisionJournal) {
 }
 
 TEST(GoldenTrace, ParallelPipelineReproducesCommittedJson) {
-  const auto trace = net::read_pcap(golden_path("golden_trace.pcap"));
+  const auto trace = net::read_pcap_fast(golden_path("golden_trace.pcap"));
   const auto expected = read_file(golden_path("golden_expected.json"));
   for (const unsigned threads : {2u, 4u}) {
     for (const unsigned bits : {1u, 4u}) {

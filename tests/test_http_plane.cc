@@ -25,6 +25,7 @@
 #include "json_lite.h"
 #include "net/http_server.h"
 #include "net/pcap.h"
+#include "net/pcap_mmap.h"
 #include "prom_lite.h"
 #include "telemetry/build_info.h"
 #include "telemetry/exporter.h"
@@ -337,16 +338,16 @@ TEST(ObservabilityHub, StatusAndLoopsReadBackWhatWasPublished) {
   EXPECT_FALSE(hub.read_status(status));
 
   status.started = true;
-  status.pushed = 10;
-  status.consumed = 8;
-  status.dropped = 2;
-  status.degrade_tier = 3;
+  status.stats.pushed = 10;
+  status.stats.consumed = 8;
+  status.stats.dropped = 2;
+  status.stats.degrade_tier = 3;
   hub.publish_status(status);
   StatusSnapshot got;
   ASSERT_TRUE(hub.read_status(got));
   EXPECT_TRUE(got.started);
-  EXPECT_EQ(got.pushed, got.consumed + got.dropped);
-  EXPECT_EQ(got.degrade_tier, 3);
+  EXPECT_EQ(got.stats.pushed, got.stats.consumed + got.stats.dropped);
+  EXPECT_EQ(got.stats.degrade_tier, 3);
 
   ObservabilityHub::LoopsView view;
   EXPECT_FALSE(hub.read_loops(view));
@@ -392,14 +393,14 @@ TEST(ObservabilityServer, ReadyzTracksLifecycleAndGovernorTier) {
   EXPECT_EQ(status, 200);
 
   // Degraded past widen_batching: not ready, reason names the tier.
-  snap.degrade_tier = static_cast<int>(DegradeTier::sample_suspects);
+  snap.stats.degrade_tier = static_cast<int>(DegradeTier::sample_suspects);
   hub.publish_status(snap);
   ASSERT_TRUE(http_get(server.port(), "/readyz", &status, &body, &error));
   EXPECT_EQ(status, 503);
   EXPECT_NE(body.find("sample_suspects"), std::string::npos) << body;
 
   // widen_batching itself still counts as ready (shedding, not broken).
-  snap.degrade_tier = static_cast<int>(DegradeTier::widen_batching);
+  snap.stats.degrade_tier = static_cast<int>(DegradeTier::widen_batching);
   hub.publish_status(snap);
   ASSERT_TRUE(http_get(server.port(), "/readyz", &status, &body, &error));
   EXPECT_EQ(status, 200);
@@ -435,9 +436,9 @@ TEST(ObservabilityServer, LoopsAndStatusAreStrictJson) {
 
   StatusSnapshot snap;
   snap.started = true;
-  snap.source = "golden \"quoted\"";  // exercises JSON escaping
-  snap.pushed = 5;
-  snap.consumed = 5;
+  snap.stats.source = "golden \"quoted\"";  // exercises JSON escaping
+  snap.stats.pushed = 5;
+  snap.stats.consumed = 5;
   snap.checkpoint_wall_unix_s = 0;  // age must render as null
   hub.publish_status(snap);
 
@@ -464,7 +465,7 @@ struct DaemonFixture {
   std::unique_ptr<ObservabilityServer> server;
 
   explicit DaemonFixture() {
-    trace = net::read_pcap(golden_path("golden_trace.pcap"));
+    trace = net::read_pcap_fast(golden_path("golden_trace.pcap"));
     telemetry::register_build_info(&registry);
     server = std::make_unique<ObservabilityServer>(&hub, &registry,
                                                    ObservabilityServer::Options{});

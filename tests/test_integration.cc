@@ -12,6 +12,7 @@
 #include "core/loop_detector.h"
 #include "core/metrics.h"
 #include "net/pcap.h"
+#include "net/pcap_mmap.h"
 #include "scenarios/backbone.h"
 #include "telemetry/registry.h"
 
@@ -196,7 +197,7 @@ TEST(Integration, PcapRoundtripPreservesDetection) {
                      "rloop_integration_roundtrip.pcap")
                         .string();
   net::write_pcap(run->trace(), path);
-  const auto reread = net::read_pcap(path);
+  const auto reread = net::read_pcap_fast(path);
   std::filesystem::remove(path);
 
   ASSERT_EQ(reread.size(), run->trace().size());

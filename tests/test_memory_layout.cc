@@ -31,6 +31,7 @@
 #include "core/replica_key.h"
 #include "net/packet.h"
 #include "net/pcap.h"
+#include "net/pcap_mmap.h"
 #include "net/trace.h"
 #include "result_equality.h"
 #include "telemetry/decision_log.h"
@@ -802,7 +803,7 @@ TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
   };
   TraceBuilder fuzz_builder;
   TraceBuilder one_off_builder;
-  const net::Trace golden = net::read_pcap(
+  const net::Trace golden = net::read_pcap_fast(
       std::string(RLOOP_GOLDEN_DIR) + "/golden_trace.pcap");
   // work: records, matched, opened, expired, emitted, accepted,
   //       rejected{too_small}, rejected{prefix_conflict}, merges, loops

@@ -1,34 +1,96 @@
+// Savefile format cases, each read through both ingest paths of
+// read_pcap_fast: a regular file (mapped) and a FIFO (read whole). Both
+// paths feed the one parser, so every case pins the same counts on each.
 #include "net/pcap.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
 #include "net/packet.h"
+#include "net/pcap_mmap.h"
 #include "net/time.h"
+#include "pcap_fifo.h"
 
 namespace rloop::net {
 namespace {
 
-class PcapTest : public ::testing::Test {
+enum class Input { file, fifo };
+
+class PcapFormat : public ::testing::TestWithParam<Input> {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("rloop_pcap_test_" +
-              std::to_string(::testing::UnitTest::GetInstance()
-                                 ->random_seed()) +
-              "_" + ::testing::UnitTest::GetInstance()
-                        ->current_test_info()
-                        ->name() +
-              ".pcap"))
-                .string();
+    // Parametrized test names contain '/'.
+    std::string name =
+        "rloop_pcap_test_" + std::to_string(::getpid()) + "_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".pcap";
+    std::replace(name.begin(), name.end(), '/', '_');
+    path_ = (std::filesystem::path(::testing::TempDir()) / name).string();
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
+  // Reads the capture written at path_ through this case's ingest path.
+  Trace read(telemetry::Registry* registry = nullptr) const {
+    return GetParam() == Input::file
+               ? read_pcap_fast(path_, registry)
+               : testing::read_pcap_via_fifo(path_, registry);
+  }
+
   std::string path_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BothInputs, PcapFormat, ::testing::Values(Input::file, Input::fifo),
+    [](const ::testing::TestParamInfo<Input>& info) {
+      return info.param == Input::file ? "file" : "fifo";
+    });
+
+// A hand-built savefile in either byte order.
+class PcapBytes {
+ public:
+  explicit PcapBytes(bool big_endian = false) : big_endian_(big_endian) {}
+
+  PcapBytes& u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      const int shift = big_endian_ ? 24 - 8 * i : 8 * i;
+      bytes_.push_back(static_cast<char>(v >> shift));
+    }
+    return *this;
+  }
+  PcapBytes& u16(std::uint16_t v) {
+    const char lo = static_cast<char>(v);
+    const char hi = static_cast<char>(v >> 8);
+    bytes_.push_back(big_endian_ ? hi : lo);
+    bytes_.push_back(big_endian_ ? lo : hi);
+    return *this;
+  }
+  PcapBytes& raw(const void* data, std::size_t n) {
+    const auto* p = static_cast<const char*>(data);
+    bytes_.insert(bytes_.end(), p, p + n);
+    return *this;
+  }
+  // File header: version 2.4, no zone, snaplen 65535.
+  PcapBytes& header(std::uint32_t magic, std::uint32_t linktype) {
+    return u32(magic).u16(2).u16(4).u32(0).u32(0).u32(65535).u32(linktype);
+  }
+  PcapBytes& record(std::uint32_t sec, std::uint32_t frac, const void* data,
+                    std::size_t n) {
+    const auto len = static_cast<std::uint32_t>(n);
+    return u32(sec).u32(frac).u32(len).u32(len).raw(data, n);
+  }
+  void write(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+  }
+
+ private:
+  bool big_endian_;
+  std::vector<char> bytes_;
 };
 
 ParsedPacket sample_packet(std::uint8_t ttl, std::uint16_t id) {
@@ -36,7 +98,12 @@ ParsedPacket sample_packet(std::uint8_t ttl, std::uint16_t id) {
                          1234, 53, 64, ttl, id);
 }
 
-TEST_F(PcapTest, WriteReadRoundtrip) {
+std::uint64_t counter(telemetry::Registry& reg, const char* name,
+                      telemetry::LabelSet labels = {}) {
+  return reg.counter(name, std::move(labels))->value();
+}
+
+TEST_P(PcapFormat, WriteReadRoundtrip) {
   Trace trace("rt", 1'005'224'400);
   for (int i = 0; i < 50; ++i) {
     trace.add(i * kMillisecond + i,  // ns-resolution offsets
@@ -45,7 +112,7 @@ TEST_F(PcapTest, WriteReadRoundtrip) {
               92);
   }
   write_pcap(trace, path_);
-  const Trace back = read_pcap(path_);
+  const Trace back = read();
 
   ASSERT_EQ(back.size(), trace.size());
   EXPECT_EQ(back.epoch_unix_s(), trace.epoch_unix_s());
@@ -57,49 +124,46 @@ TEST_F(PcapTest, WriteReadRoundtrip) {
   }
 }
 
-TEST_F(PcapTest, NanosecondTimestampsPreserved) {
+// Larger than one pipe buffer (64 KiB on Linux) and than the whole-stream
+// reader's first allocation, so the FIFO path needs many reads.
+TEST_P(PcapFormat, ReadsCaptureLargerThanOnePipeBuffer) {
+  Trace trace("big", 1'005'224'400);
+  for (int i = 0; i < 3000; ++i) {
+    trace.add(i * kMillisecond, sample_packet(64, static_cast<std::uint16_t>(i)),
+              92);
+  }
+  write_pcap(trace, path_);
+  ASSERT_GT(std::filesystem::file_size(path_), std::uintmax_t{2} << 16);
+  const Trace back = read();
+
+  ASSERT_EQ(back.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(back[i].ts, trace[i].ts) << i;
+    EXPECT_EQ(back[i].data, trace[i].data) << i;
+  }
+}
+
+TEST_P(PcapFormat, NanosecondTimestampsPreserved) {
   Trace trace("ns", 1000);
   trace.add(123'456'789, sample_packet(64, 1), 92);
   write_pcap(trace, path_);
-  const Trace back = read_pcap(path_);
+  const Trace back = read();
   ASSERT_EQ(back.size(), 1u);
   // First record's second becomes the epoch; sub-second part is exact.
   EXPECT_EQ(back.epoch_unix_s() * kSecond + back[0].ts,
             1000 * kSecond + 123'456'789);
 }
 
-TEST_F(PcapTest, ReadsMicrosecondLittleEndianFiles) {
-  // Hand-build a classic microsecond pcap with one raw-IP record.
+TEST_P(PcapFormat, ReadsMicrosecondLittleEndianFiles) {
   const auto pkt = sample_packet(60, 7);
   std::array<std::byte, kMaxHeaderBytes> pkt_buf{};
   const auto pkt_len = serialize_packet(pkt, pkt_buf);
+  PcapBytes()
+      .header(kPcapMagicMicros, kLinktypeRaw)
+      .record(500, 250'000, pkt_buf.data(), pkt_len)  // 500 s + 250,000 µs
+      .write(path_);
 
-  std::ofstream out(path_, std::ios::binary);
-  auto le32 = [&](std::uint32_t v) {
-    char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-                 static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-    out.write(b, 4);
-  };
-  auto le16 = [&](std::uint16_t v) {
-    char b[2] = {static_cast<char>(v), static_cast<char>(v >> 8)};
-    out.write(b, 2);
-  };
-  le32(kPcapMagicMicros);
-  le16(2);
-  le16(4);
-  le32(0);
-  le32(0);
-  le32(65535);
-  le32(kLinktypeRaw);
-  le32(500);      // seconds
-  le32(250'000);  // microseconds
-  le32(static_cast<std::uint32_t>(pkt_len));
-  le32(static_cast<std::uint32_t>(pkt_len));
-  out.write(reinterpret_cast<const char*>(pkt_buf.data()),
-            static_cast<std::streamsize>(pkt_len));
-  out.close();
-
-  const Trace trace = read_pcap(path_);
+  const Trace trace = read();
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace.epoch_unix_s(), 500);
   EXPECT_EQ(trace[0].ts, 250 * kMillisecond);
@@ -108,118 +172,79 @@ TEST_F(PcapTest, ReadsMicrosecondLittleEndianFiles) {
   EXPECT_EQ(*parsed, pkt);
 }
 
-TEST_F(PcapTest, ReadsBigEndianFiles) {
+TEST_P(PcapFormat, ReadsBigEndianFiles) {
   const auto pkt = sample_packet(60, 7);
   std::array<std::byte, kMaxHeaderBytes> pkt_buf{};
   const auto pkt_len = serialize_packet(pkt, pkt_buf);
+  PcapBytes(/*big_endian=*/true)
+      .header(kPcapMagicMicros, kLinktypeRaw)
+      .record(42, 1, pkt_buf.data(), pkt_len)
+      .write(path_);
 
-  std::ofstream out(path_, std::ios::binary);
-  auto be32 = [&](std::uint32_t v) {
-    char b[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-                 static_cast<char>(v >> 8), static_cast<char>(v)};
-    out.write(b, 4);
-  };
-  auto be16 = [&](std::uint16_t v) {
-    char b[2] = {static_cast<char>(v >> 8), static_cast<char>(v)};
-    out.write(b, 2);
-  };
-  be32(kPcapMagicMicros);
-  be16(2);
-  be16(4);
-  be32(0);
-  be32(0);
-  be32(65535);
-  be32(kLinktypeRaw);
-  be32(42);
-  be32(1);
-  be32(static_cast<std::uint32_t>(pkt_len));
-  be32(static_cast<std::uint32_t>(pkt_len));
-  out.write(reinterpret_cast<const char*>(pkt_buf.data()),
-            static_cast<std::streamsize>(pkt_len));
-  out.close();
-
-  const Trace trace = read_pcap(path_);
+  const Trace trace = read();
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace.epoch_unix_s(), 42);
+  EXPECT_EQ(trace[0].ts, 1 * kMicrosecond);
 }
 
-TEST_F(PcapTest, ReadsEthernetFramesAndSkipsNonIpv4) {
+TEST_P(PcapFormat, ReadsEthernetFramesAndSkipsNonIpv4) {
   const auto pkt = sample_packet(61, 8);
   std::array<std::byte, kMaxHeaderBytes> pkt_buf{};
   const auto pkt_len = serialize_packet(pkt, pkt_buf);
-
-  std::ofstream out(path_, std::ios::binary);
-  auto le32 = [&](std::uint32_t v) {
-    char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-                 static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-    out.write(b, 4);
-  };
-  auto le16 = [&](std::uint16_t v) {
-    char b[2] = {static_cast<char>(v), static_cast<char>(v >> 8)};
-    out.write(b, 2);
-  };
-  le32(kPcapMagicNanos);
-  le16(2);
-  le16(4);
-  le32(0);
-  le32(0);
-  le32(65535);
-  le32(kLinktypeEthernet);
-
-  auto write_frame = [&](std::uint16_t ethertype, bool include_payload) {
-    const std::uint32_t frame_len =
-        14 + (include_payload ? static_cast<std::uint32_t>(pkt_len) : 4);
-    le32(7);
-    le32(0);
-    le32(frame_len);
-    le32(frame_len);
-    char eth[14] = {};
-    eth[12] = static_cast<char>(ethertype >> 8);
-    eth[13] = static_cast<char>(ethertype & 0xff);
-    out.write(eth, 14);
+  const auto frame = [&](std::uint16_t ethertype, bool include_payload) {
+    std::vector<char> f(14);
+    f[12] = static_cast<char>(ethertype >> 8);
+    f[13] = static_cast<char>(ethertype & 0xff);
     if (include_payload) {
-      out.write(reinterpret_cast<const char*>(pkt_buf.data()),
-                static_cast<std::streamsize>(pkt_len));
+      const auto* p = reinterpret_cast<const char*>(pkt_buf.data());
+      f.insert(f.end(), p, p + pkt_len);
     } else {
-      char junk[4] = {1, 2, 3, 4};
-      out.write(junk, 4);
+      f.insert(f.end(), {1, 2, 3, 4});
     }
+    return f;
   };
-  write_frame(0x0806, false);  // ARP: skipped
-  write_frame(0x0800, true);   // IPv4: kept
-  out.close();
+  const auto arp = frame(0x0806, false);  // skipped
+  const auto ipv4 = frame(0x0800, true);  // kept
 
-  const Trace trace = read_pcap(path_);
-  ASSERT_EQ(trace.size(), 1u);
-  const auto parsed = parse_packet(trace[0].bytes());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, pkt);
+  for (const bool big_endian : {false, true}) {
+    SCOPED_TRACE(big_endian ? "big-endian" : "little-endian");
+    PcapBytes(big_endian)
+        .header(kPcapMagicNanos, kLinktypeEthernet)
+        .record(7, 0, arp.data(), arp.size())
+        .record(7, 0, ipv4.data(), ipv4.size())
+        .write(path_);
+
+    telemetry::Registry reg;
+    const Trace trace = read(&reg);
+    ASSERT_EQ(trace.size(), 1u);
+    EXPECT_EQ(trace.epoch_unix_s(), 7);
+    EXPECT_EQ(trace[0].wire_len, pkt_len);
+    const auto parsed = parse_packet(trace[0].bytes());
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, pkt);
+    EXPECT_EQ(counter(reg, "rloop_pcap_records_total"), 1u);
+    EXPECT_EQ(counter(reg, "rloop_pcap_records_skipped_total",
+                      {{"reason", "non_ipv4"}}),
+              1u);
+    EXPECT_EQ(counter(reg, "rloop_pcap_records_skipped_total",
+                      {{"reason", "short_ethernet"}}),
+              0u);
+  }
 }
 
-TEST_F(PcapTest, RejectsBadMagic) {
-  std::ofstream out(path_, std::ios::binary);
+TEST_P(PcapFormat, RejectsBadMagic) {
   const char junk[24] = {1, 2, 3};
-  out.write(junk, sizeof junk);
-  out.close();
-  EXPECT_THROW(read_pcap(path_), std::runtime_error);
+  PcapBytes().raw(junk, sizeof junk).write(path_);
+  EXPECT_THROW(read(), std::runtime_error);
 }
 
-TEST_F(PcapTest, RejectsTruncatedHeader) {
-  std::ofstream out(path_, std::ios::binary);
+TEST_P(PcapFormat, RejectsTruncatedHeader) {
   const char junk[10] = {};
-  out.write(junk, sizeof junk);
-  out.close();
-  EXPECT_THROW(read_pcap(path_), std::runtime_error);
+  PcapBytes().raw(junk, sizeof junk).write(path_);
+  EXPECT_THROW(read(), std::runtime_error);
 }
 
-TEST_F(PcapTest, RejectsMissingFile) {
-  EXPECT_THROW(read_pcap("/nonexistent/dir/file.pcap"), std::runtime_error);
-  Trace t("x", 0);
-  EXPECT_THROW(write_pcap(t, "/nonexistent/dir/file.pcap"),
-               std::runtime_error);
-}
-
-TEST_F(PcapTest, TruncatedFinalRecordIsCountedNotFatal) {
+TEST_P(PcapFormat, TruncatedFinalRecordIsCountedNotFatal) {
   // A capture that ends mid-record (killed tcpdump, full disk) must yield
   // every complete record plus a counted warning, not a failed read.
   Trace trace("rt", 0);
@@ -230,16 +255,13 @@ TEST_F(PcapTest, TruncatedFinalRecordIsCountedNotFatal) {
   std::filesystem::resize_file(path_, size - 3);  // chop into record 2's body
 
   telemetry::Registry reg;
-  const Trace back = read_pcap(path_, &reg);
+  const Trace back = read(&reg);
   EXPECT_EQ(back.size(), 1u) << "complete records must survive";
   EXPECT_EQ(back[0].data, trace[0].data);
-  EXPECT_EQ(telemetry::get_counter(&reg, "rloop_pcap_truncated_records_total",
-                                   {}, "")
-                ->value(),
-            1u);
+  EXPECT_EQ(counter(reg, "rloop_pcap_truncated_records_total"), 1u);
 }
 
-TEST_F(PcapTest, TruncatedRecordHeaderIsCountedNotFatal) {
+TEST_P(PcapFormat, TruncatedRecordHeaderIsCountedNotFatal) {
   Trace trace("rt", 0);
   trace.add(0, sample_packet(64, 1), 92);
   write_pcap(trace, path_);
@@ -250,12 +272,17 @@ TEST_F(PcapTest, TruncatedRecordHeaderIsCountedNotFatal) {
   out.close();
 
   telemetry::Registry reg;
-  const Trace back = read_pcap(path_, &reg);
+  const Trace back = read(&reg);
   EXPECT_EQ(back.size(), 1u);
-  EXPECT_EQ(telemetry::get_counter(&reg, "rloop_pcap_truncated_records_total",
-                                   {}, "")
-                ->value(),
-            1u);
+  EXPECT_EQ(counter(reg, "rloop_pcap_truncated_records_total"), 1u);
+}
+
+TEST(PcapTest, RejectsMissingFile) {
+  EXPECT_THROW(read_pcap_fast("/nonexistent/dir/file.pcap"),
+               std::runtime_error);
+  Trace t("x", 0);
+  EXPECT_THROW(write_pcap(t, "/nonexistent/dir/file.pcap"),
+               std::runtime_error);
 }
 
 }  // namespace

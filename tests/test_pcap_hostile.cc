@@ -1,11 +1,11 @@
 // Hostile-input tests over the committed corpus in tests/data/hostile/:
 // bad magic, absurd snaplen/record lengths, zero-length records, and a
-// record header claiming more bytes than the file holds. Every reader
-// (ifstream, in-memory buffer, mmap) must agree: malformed framing throws,
-// torn tails are counted warnings, and nothing crashes — these files are
-// what a fuzzer or a dying capture box hands the daemon. Also the
-// mmap-truncation regression: a file shrunk between open and parse must
-// be a counted truncation, not a SIGBUS.
+// record header claiming more bytes than the file holds. Every ingest path
+// (in-memory buffer, mapped file, FIFO read whole) must agree: malformed
+// framing throws, torn tails are counted warnings, and nothing crashes —
+// these files are what a fuzzer or a dying capture box hands the daemon.
+// Also the mmap-truncation regression: a file shrunk between open and
+// parse must be a counted truncation, not a SIGBUS.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,6 +18,7 @@
 #include "net/packet.h"
 #include "net/pcap.h"
 #include "net/pcap_mmap.h"
+#include "pcap_fifo.h"
 #include "telemetry/registry.h"
 
 namespace rloop::net {
@@ -58,14 +59,14 @@ Outcome run_reader(int which, const std::string& path) {
   try {
     Trace trace = [&] {
       switch (which) {
-        case 0:
-          return read_pcap(path, &reg);
-        case 1: {
+        case 0: {
           const auto bytes = slurp(path);
           return parse_pcap_buffer(bytes, "buf:" + path, &reg);
         }
-        default:
+        case 1:
           return read_pcap_fast(path, &reg);
+        default:
+          return testing::read_pcap_via_fifo(path, &reg);
       }
     }();
     out.records = trace.size();
@@ -79,7 +80,7 @@ Outcome run_reader(int which, const std::string& path) {
 class HostilePcap : public ::testing::TestWithParam<int> {};
 
 std::string reader_name(const ::testing::TestParamInfo<int>& info) {
-  static const char* const names[] = {"ifstream", "buffer", "mmap_fast"};
+  static const char* const names[] = {"buffer", "mmap_fast", "fifo"};
   return names[info.param];
 }
 

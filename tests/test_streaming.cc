@@ -9,6 +9,7 @@
 
 #include "core/loop_detector.h"
 #include "net/pcap.h"
+#include "net/pcap_mmap.h"
 #include "scenarios/scenario.h"
 #include "streaming_reference.h"
 #include "telemetry/registry.h"
@@ -418,7 +419,7 @@ std::vector<Packet> packets_of(const net::Trace& trace) {
 
 std::vector<Packet> golden_packets() {
   return packets_of(
-      net::read_pcap(std::string(RLOOP_GOLDEN_DIR) + "/golden_trace.pcap"));
+      net::read_pcap_fast(std::string(RLOOP_GOLDEN_DIR) + "/golden_trace.pcap"));
 }
 
 // Replica streams of random shape over `prefixes` /24s (few hosts and IP
