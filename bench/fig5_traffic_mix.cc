@@ -21,7 +21,7 @@ int main() {
   std::vector<analysis::CategoricalCounter> mixes;
   mixes.reserve(4);
   for (int k = 1; k <= 4; ++k) {
-    mixes.push_back(core::traffic_type_mix(bench::cached_result(k).records));
+    mixes.push_back(core::traffic_type_mix(bench::cached_trace(k)));
   }
   for (const auto& cat : core::kTrafficCategories) {
     std::vector<std::string> row = {cat};

@@ -25,10 +25,10 @@ int main() {
   };
   std::vector<Pair> mixes;
   for (int k : {1, 2, 4}) {
-    const auto& result = bench::cached_result(k);
-    mixes.push_back({core::traffic_type_mix(result.records),
-                     core::looped_type_mix(result.records,
-                                           result.valid_streams)});
+    const auto& trace = bench::cached_trace(k);
+    mixes.push_back({core::traffic_type_mix(trace),
+                     core::looped_type_mix(
+                         trace, bench::cached_result(k).valid_streams)});
   }
   for (const auto& cat : core::kTrafficCategories) {
     std::vector<std::string> row = {cat};

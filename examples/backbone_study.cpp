@@ -41,7 +41,7 @@ using namespace rloop;
 
 namespace {
 
-void write_figures(const std::string& dir, int k,
+void write_figures(const std::string& dir, int k, const net::Trace& trace,
                    const core::LoopDetectionResult& result) {
   namespace fs = std::filesystem;
   fs::create_directories(dir);
@@ -84,9 +84,8 @@ void write_figures(const std::string& dir, int k,
   {
     analysis::CsvWriter csv(base + "_fig5_fig6_type_mix.csv",
                             {"category", "all_fraction", "looped_fraction"});
-    const auto all = core::traffic_type_mix(result.records);
-    const auto looped =
-        core::looped_type_mix(result.records, result.valid_streams);
+    const auto all = core::traffic_type_mix(trace);
+    const auto looped = core::looped_type_mix(trace, result.valid_streams);
     for (const auto& cat : core::kTrafficCategories) {
       csv.add_row({cat, analysis::format_double(all.fraction(cat), 4),
                    analysis::format_double(looped.fraction(cat), 4)});
@@ -318,7 +317,7 @@ int main(int argc, char** argv) {
     if (!out_dir.empty()) {
       std::filesystem::create_directories(out_dir);
       net::write_pcap(trace, out_dir + "/backbone" + std::to_string(k) + ".pcap");
-      write_figures(out_dir, k, result);
+      write_figures(out_dir, k, trace, result);
     }
   }
 

@@ -157,8 +157,8 @@ int main(int argc, char** argv) {
   }
 
   analysis::TextTable mix({"Type", "All traffic", "Looped traffic"});
-  const auto all = core::traffic_type_mix(result.records);
-  const auto looped = core::looped_type_mix(result.records, result.valid_streams);
+  const auto all = core::traffic_type_mix(trace);
+  const auto looped = core::looped_type_mix(trace, result.valid_streams);
   for (const auto& cat : core::kTrafficCategories) {
     mix.add_row({cat, analysis::format_percent(all.fraction(cat)),
                  looped.total() ? analysis::format_percent(looped.fraction(cat))

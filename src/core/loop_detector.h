@@ -42,9 +42,9 @@ struct LoopDetectorConfig {
   // label set is built, and nothing is allocated for telemetry.
   telemetry::Registry* registry = nullptr;
   // Optional span sink: a root "detect_loops" span, one span per stage
-  // (parse/columnize/detect/validate/merge; the parallel path has no
-  // parse/columnize spans, its front is one detect stage), and on the
-  // parallel path the detect front's per-body spans
+  // (parse/detect/validate/merge; the parallel path has no parse span, its
+  // front is one detect stage), and on the parallel path the detect front's
+  // per-body spans
   // (parse_chunk/mark_shards/detect_chunk/detect_shard), exportable as
   // Chrome trace-event JSON (TraceSink::chrome_trace_json).
   // Null costs one predictable branch per would-be span.
@@ -63,7 +63,8 @@ struct LoopDetectorConfig {
 };
 
 struct LoopDetectionResult {
-  // The parsed trace; all stream/loop record indices point into this.
+  // No longer filled by detect_loops(); removed with the benchmark change.
+  // Stream and loop record indices are positions in the input trace.
   std::vector<ParsedRecord> records;
   // Step 1 output: every stream with >= 2 replicas.
   std::vector<ReplicaStream> raw_streams;

@@ -1,6 +1,8 @@
 #include "core/metrics.h"
 
+#include "net/packet.h"
 #include "net/time.h"
+#include "net/trace.h"
 
 namespace rloop::core {
 
@@ -77,30 +79,32 @@ std::vector<std::string> packet_categories(const net::ParsedPacket& pkt) {
   return cats;
 }
 
-analysis::CategoricalCounter traffic_type_mix(
-    const std::vector<ParsedRecord>& records) {
+namespace {
+
+// Counts `raw` under each of its categories, unless its IP header fails to
+// parse.
+void count_categories(analysis::CategoricalCounter& counter,
+                      const net::TraceRecord& raw) {
+  const auto pkt = net::parse_packet(raw.bytes());
+  if (!pkt) return;
+  counter.add_sample();
+  for (const auto& cat : packet_categories(*pkt)) counter.add(cat);
+}
+
+}  // namespace
+
+analysis::CategoricalCounter traffic_type_mix(const net::Trace& trace) {
   analysis::CategoricalCounter counter;
-  for (const auto& rec : records) {
-    if (!rec.ok) continue;
-    counter.add_sample();
-    for (const auto& cat : packet_categories(rec.pkt)) {
-      counter.add(cat);
-    }
-  }
+  for (const auto& raw : trace) count_categories(counter, raw);
   return counter;
 }
 
 analysis::CategoricalCounter looped_type_mix(
-    const std::vector<ParsedRecord>& records,
-    const std::vector<ReplicaStream>& valid_streams) {
+    const net::Trace& trace, const std::vector<ReplicaStream>& valid_streams) {
   analysis::CategoricalCounter counter;
-  const auto member = stream_membership(records.size(), valid_streams);
-  for (const auto& rec : records) {
-    if (!rec.ok || !member[rec.index]) continue;
-    counter.add_sample();
-    for (const auto& cat : packet_categories(rec.pkt)) {
-      counter.add(cat);
-    }
+  const auto member = stream_membership(trace.size(), valid_streams);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (member[i]) count_categories(counter, trace[i]);
   }
   return counter;
 }

@@ -36,14 +36,13 @@ analysis::EmpiricalCdf loop_duration_cdf_s(
 extern const std::vector<std::string> kTrafficCategories;
 std::vector<std::string> packet_categories(const net::ParsedPacket& pkt);
 
-// Figure 5: category mix over all (parseable) records.
-analysis::CategoricalCounter traffic_type_mix(
-    const std::vector<ParsedRecord>& records);
+// Figure 5: category mix over all (parseable) records of `trace`.
+analysis::CategoricalCounter traffic_type_mix(const net::Trace& trace);
 
-// Figure 6: category mix over looped records (members of validated streams).
+// Figure 6: category mix over looped records (members of validated streams
+// found in `trace`); only those records are parsed.
 analysis::CategoricalCounter looped_type_mix(
-    const std::vector<ParsedRecord>& records,
-    const std::vector<ReplicaStream>& valid_streams);
+    const net::Trace& trace, const std::vector<ReplicaStream>& valid_streams);
 
 // Figure 7: (time in seconds, destination address) per validated stream.
 struct DstSample {

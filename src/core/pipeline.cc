@@ -12,7 +12,6 @@
 #include "core/detect_state.h"
 #include "core/parallel.h"
 #include "core/record_store.h"
-#include "core/replica_key.h"
 #include "core/stream_merger.h"
 #include "core/stream_validator.h"
 #include "telemetry/counter.h"
@@ -32,17 +31,14 @@ telemetry::Histogram* stage_histogram(telemetry::Registry* registry,
       "Wall-clock latency of one detection-pipeline stage per call");
 }
 
-// Tallies result.parse_failures from result.records and adds it to the
+// Adds a run's parse failures, counted while the store was filled, to the
 // registry's parse-failure counter.
-void count_parse_failures(telemetry::Registry* registry,
-                          LoopDetectionResult& result) {
-  for (const auto& rec : result.records) {
-    if (!rec.ok) ++result.parse_failures;
-  }
+void publish_parse_failures(telemetry::Registry* registry,
+                            std::uint64_t failures) {
   telemetry::inc(telemetry::get_counter(
                      registry, "rloop_pipeline_parse_failures_total", {},
                      "Trace records whose IP header failed to parse"),
-                 result.parse_failures);
+                 failures);
 }
 
 // Steps 2 and 3 over result.raw_streams: the one tail both offline paths
@@ -134,9 +130,8 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     const telemetry::ScopedSpan span(config.trace, "detect");
 
     // --- Workspace prep (all capacity-reusing once warm). -----------------
-    ws.store.prepare(trace, n);
+    ws.store.prepare(trace);
     ws.shard_ids.resize(n);
-    result.records.resize(n);
 
     const ReplicaDetector detector(config.detector, reg, config.journal);
     ws.states.resize(num_shards);
@@ -177,31 +172,30 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
 
     std::atomic<bool> abort{false};
     std::atomic<unsigned> parsed{0};
+    std::atomic<std::uint64_t> parse_failures{0};
 
     // One body; all num_bodies of them run this. Returns early on abort.
     const auto run_body = [&](unsigned t) {
-      // Parse one contiguous range, then wait for every other body. A
-      // shard's RepeatMark needs every key hash of the trace before its
-      // first record is fed, hence the barrier; contiguous rows mean no
-      // two bodies write one cache line of the store or records[] except
-      // at a range edge. The counter's release/acquire pairs publish every
-      // body's rows and shard ids to every other.
+      // Fill one contiguous range of store rows, then wait for every other
+      // body. A shard's RepeatMark needs every key hash of the trace before
+      // its first record is fed, hence the barrier; contiguous rows mean no
+      // two bodies write one cache line of the store except at a range
+      // edge. The counter's release/acquire pairs publish every body's rows
+      // and shard ids to every other.
       const std::int64_t t0 = timed ? now_ns() : 0;
       {
         const telemetry::ScopedSpan span(config.trace, "parse_chunk");
         const std::size_t lo = n * t / num_bodies;
         const std::size_t hi = n * (t + 1) / num_bodies;
+        std::uint64_t failures = 0;
         // num_shards is 1 << shard_bits (ParallelConfig), so the mask
         // picks a shard uniformly.
         for (std::size_t i = lo; i < hi; ++i) {
-          const ParsedRecord rec = parse_record(trace, i);
-          const std::uint64_t h =
-              rec.ok ? replica_key_hash(trace[i].bytes()) : 0;
-          ws.store.set_row(i, rec, h);
-          result.records[i] = rec;
-          ws.shard_ids[i] =
-              static_cast<std::uint32_t>(mix64(h) & (num_shards - 1));
+          if (!ws.store.fill_row(i)) ++failures;
+          ws.shard_ids[i] = static_cast<std::uint32_t>(
+              mix64(ws.store.key_hash(i)) & (num_shards - 1));
         }
+        parse_failures.fetch_add(failures, std::memory_order_relaxed);
       }
       parsed.fetch_add(1, std::memory_order_acq_rel);
       const std::int64_t t1 = timed ? now_ns() : 0;
@@ -273,6 +267,7 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
           }
         },
         nullptr);
+    result.parse_failures = parse_failures.load(std::memory_order_relaxed);
 
     // --- Merge the per-shard outputs into the canonical stream order. -----
     detail::LocalCounts counts;
@@ -293,7 +288,7 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
   }
 
   result.total_records = n;
-  count_parse_failures(reg, result);
+  publish_parse_failures(reg, result.parse_failures);
   validate_and_merge(ws.store, config, result);
   return result;
 }
@@ -321,22 +316,13 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
   telemetry::Registry* reg = config.registry;
   LoopDetectionResult result;
   const telemetry::ScopedSpan root_span(config.trace, "detect_loops");
+  RecordStore store;
   {
     const telemetry::ScopedTimer timer(stage_histogram(reg, "parse"));
     const telemetry::ScopedSpan span(config.trace, "parse");
-    result.records = parse_trace(trace);
-    result.total_records = result.records.size();
-    count_parse_failures(reg, result);
-  }
-
-  // Columnize: transpose the parsed records into the SoA RecordStore the
-  // detect/validate/merge scans run on, and compute the replica-key hash
-  // column (once per record, reused by every later stage).
-  RecordStore store;
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "columnize"));
-    const telemetry::ScopedSpan span(config.trace, "columnize");
-    store = RecordStore::build(trace, result.records);
+    store = RecordStore::build(trace, &result.parse_failures);
+    result.total_records = trace.size();
+    publish_parse_failures(reg, result.parse_failures);
   }
 
   {

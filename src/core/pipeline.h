@@ -4,12 +4,12 @@
 // rloop_pipeline_stage_latency_ns and rloop_pipeline_parse_failures_total
 // families they record.
 //
-// The serial path runs parse, columnize, detect, validate and merge one
-// after another. The parallel path runs step 1 as one fan-out of T
-// identical pool bodies with a single barrier. Body t:
+// The serial path runs parse (RecordStore::build), detect, validate and
+// merge one after another. The parallel path runs step 1 as one fan-out of
+// T identical pool bodies with a single barrier. Body t:
 //
-//   1. parses, set_rows, hashes and shard-assigns the contiguous range
-//      [t*n/T, (t+1)*n/T);
+//   1. fills (RecordStore::fill_row) and shard-assigns the store rows of
+//      the contiguous range [t*n/T, (t+1)*n/T), counting parse failures;
 //   2. waits until every body has;
 //   3. for the shards it owns (s % T == t): resets each shard's RepeatMark
 //      and fills it in one scan of the shard-id column, which also lists
@@ -19,8 +19,8 @@
 //
 // The mark needs every key hash before the first record is fed (a record
 // is a one-off only if no later record shares its hash), hence the
-// barrier. Parsing in contiguous ranges means no two bodies write one cache
-// line of the store or records[] except at a range edge. After the barrier
+// barrier. Filling contiguous ranges means no two bodies write one cache
+// line of the store except at a range edge. After the barrier
 // no body waits on another: each shard's state is written and read by its
 // owner only.
 // Partitioning invariants:

@@ -1,30 +1,21 @@
-// Structure-of-arrays view of a parsed trace for the detection hot path.
-//
-// The detect/validate/merge scans read a handful of narrow fields per record
-// (timestamp, TTL, destination /24, replica-key hash); ParsedRecord carries
-// all of them plus the full ParsedPacket, so an array-of-structs scan drags
-// ~10x the bytes it reads through the cache. RecordStore transposes the
-// fields the scans touch into contiguous per-field columns:
+// Structure-of-arrays view of a trace for the detection hot path. The
+// detect/validate/merge scans, like the replica test of Section IV-A, read
+// only IP-header fields, so the store holds those, one column each:
 //
 //   ts        int64   capture timestamp
-//   dst       uint32  raw destination address
-//   dst24     uint32  destination address masked to /24
-//   ttl       uint8   IP TTL
+//   dst       uint32  raw destination address (0 when !ok)
+//   dst24     uint32  destination address masked to /24 (0 when !ok)
+//   ttl       uint8   IP TTL (0 when !ok)
 //   ok        uint8   1 when the IP header parsed
 //   key_hash  uint64  replica_key_hash over the captured bytes (0 when !ok)
 //
-// The key-hash column is computed once per record — by build() on the serial
-// path, by each pipeline body for its slice on the parallel one — and every
-// later stage reuses it, so FNV runs exactly once per record on every path.
-// The store also keeps a pointer to the source trace: replica keys are still
-// materialized from the raw captured bytes (byte-precise equality, no false
-// merges), and `bytes(i)` hands those out. The trace must therefore outlive
+// One filler, fill_row(), writes every row straight from the record's
+// captured bytes: build() runs it over the trace on the serial path, each
+// parallel pipeline body over its slice, so FNV runs once per record on
+// every path. The store also keeps a pointer to the source trace: replica
+// keys are materialized from the raw captured bytes (byte-precise equality,
+// no false merges), which `bytes(i)` hands out, so the trace must outlive
 // the store.
-//
-// ParsedRecord remains the public API of parse results. Both paths fill the
-// store row by row through prepare + set_row: build() does it for the serial
-// pipeline's columnize stage, each parallel pipeline body for the
-// contiguous slice it parses.
 #pragma once
 
 #include <cstdint>
@@ -42,35 +33,30 @@ class RecordStore {
  public:
   RecordStore() = default;
 
-  // Columnizes `records` (which must be parse_trace(trace)) through
-  // prepare + set_row, hashing each record that parsed ok; retains a pointer
-  // to `trace` for bytes().
+  // prepare + fill_row over every record of `trace`. `parse_failures`, when
+  // non-null, receives the number of rows whose IP header did not parse.
   static RecordStore build(const net::Trace& trace,
-                           const std::vector<ParsedRecord>& records);
+                           std::uint64_t* parse_failures = nullptr);
 
-  // Parallel-pipeline support (core/pipeline.cc): sizes every column for
-  // `n` records of `trace` without filling them; rows are then written by
-  // set_row, each exactly once, by the body whose slice holds the record
-  // (disjoint-row discipline — no two threads ever touch one index).
-  // Column capacity is reused across calls, so a persistent workspace's
-  // store allocates nothing once warm.
-  void prepare(const net::Trace& trace, std::size_t n);
-
-  // Fills row i from a parsed record plus its precomputed replica-key hash;
-  // the hash is stored only when the record parsed ok. The only writer of
-  // the columns, on the serial path (build) and the parallel one alike.
-  void set_row(std::size_t i, const ParsedRecord& rec,
-               std::uint64_t key_hash) {
-    ts_[i] = rec.ts;
-    ok_[i] = rec.ok ? 1 : 0;
-    dst_[i] = rec.pkt.ip.dst.value;
-    dst24_[i] = rec.dst24.addr.value;
-    ttl_[i] = rec.pkt.ip.ttl;
-    key_hash_[i] = rec.ok ? key_hash : 0;
+  // build(trace); `records` is not read. Kept for rloopbench's staged
+  // serial pass, which still holds parse_trace(trace); it goes with it.
+  static RecordStore build(const net::Trace& trace,
+                           const std::vector<ParsedRecord>&) {
+    return build(trace);
   }
 
+  // Sizes every column for the records of `trace` and keeps a pointer to it.
+  // fill_row then writes each row exactly once (on the parallel path, the
+  // body whose slice holds it). Capacity is reused across calls, so a
+  // persistent workspace's store allocates nothing once warm.
+  void prepare(const net::Trace& trace);
+
+  // Fills row i: net::Ipv4Header::parse (it rejects exactly what
+  // net::parse_packet rejects) plus replica_key_hash. A rejected row keeps
+  // its timestamp and holds 0 elsewhere. Returns whether the header parsed.
+  bool fill_row(std::size_t i);
+
   std::size_t size() const { return ts_.size(); }
-  bool empty() const { return ts_.empty(); }
 
   bool ok(std::size_t i) const { return ok_[i] != 0; }
   net::TimeNs ts(std::size_t i) const { return ts_[i]; }

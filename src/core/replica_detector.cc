@@ -252,11 +252,6 @@ std::vector<ReplicaStream> ReplicaDetector::detect(
   return std::move(state.closed);
 }
 
-std::vector<ReplicaStream> ReplicaDetector::detect(
-    const net::Trace& trace, const std::vector<ParsedRecord>& records) const {
-  return detect(RecordStore::build(trace, records));
-}
-
 std::vector<ReplicaStream> ReplicaDetector::detect_reference(
     const net::Trace& trace, const std::vector<ParsedRecord>& records) const {
   DetectState state(config_, m_spacing_, journal_);

@@ -90,18 +90,12 @@ class ReplicaDetector {
                            telemetry::DecisionLog* journal = nullptr);
 
   // Returns every stream with at least two elements, ordered by start time.
-  // The store is the columnized trace (RecordStore::build); records with
+  // The store is the filled trace (RecordStore::build); records with
   // ok == false are ignored. The hot path runs on a flat open-addressing
   // table (util/flat_map.h) with arena-backed replica lists (util/arena.h);
   // output is field-identical to detect_reference() — the differential
   // tests in tests/test_memory_layout.cc prove it.
   std::vector<ReplicaStream> detect(const RecordStore& store) const;
-
-  // Convenience wrapper: columnizes (trace, records) and runs detect().
-  // `records` must be parse_trace(trace).
-  std::vector<ReplicaStream> detect(
-      const net::Trace& trace,
-      const std::vector<ParsedRecord>& records) const;
 
   // Parallel-pipeline hooks: core/pipeline.cc keeps one warm flat state per
   // shard across runs, so it cannot call detect(). bind() points a state at

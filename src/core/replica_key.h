@@ -39,15 +39,15 @@ struct ReplicaKey {
 ReplicaKey make_replica_key(std::span<const std::byte> captured);
 
 // Same key, but with the hash supplied by the caller (it must equal
-// replica_key_hash(captured)). Skips the FNV pass — the sharded detector
-// already hashed every record to assign shards, so per-shard key
-// construction is a masked copy only.
+// replica_key_hash(captured)). Skips the FNV pass — every RecordStore row
+// already carries the hash, so the offline detector's key construction is
+// a masked copy only.
 ReplicaKey make_replica_key(std::span<const std::byte> captured,
                             std::uint64_t precomputed_hash);
 
-// The hash make_replica_key(captured) would compute, without materializing
-// the normalized copy. The parallel detector uses this to assign records to
-// shards in one cheap pass before any per-shard key construction.
+// The hash make_replica_key(captured) computes, without materializing the
+// normalized copy: RecordStore::fill_row stores it per record, and the
+// parallel pipeline assigns shards from it.
 std::uint64_t replica_key_hash(std::span<const std::byte> captured);
 
 struct ReplicaKeyHash {

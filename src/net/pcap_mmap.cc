@@ -30,6 +30,8 @@ constexpr std::size_t kFileHeaderSize = 24;
 constexpr std::size_t kRecordHeaderSize = 16;
 constexpr std::size_t kEthernetHeaderSize = 14;
 constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
+constexpr std::uint32_t kMaxRecordLen = 1u << 20;  // plausibility bound
+constexpr std::size_t kReleaseStep = std::size_t{4} << 20;  // page multiple
 
 std::uint32_t get_u32(const std::byte* p, bool swapped) {
   const auto b = [p](std::size_t i) {
@@ -39,13 +41,38 @@ std::uint32_t get_u32(const std::byte* p, bool swapped) {
   return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
 }
 
-}  // namespace
+// True when a record of `linktype` with these captured bytes holds an IPv4
+// packet; Ethernet frames that are short or not IPv4 are skipped.
+bool is_ipv4_frame(std::uint32_t linktype, const std::byte* pkt,
+                   std::size_t len) {
+  return linktype != kLinktypeEthernet ||
+         (len >= kEthernetHeaderSize &&
+          read_u16({pkt, len}, 12) == kEtherTypeIpv4);
+}
 
-void (*pcap_mmap_test_hook)() = nullptr;
+// The records parse_savefile keeps, by a framing-only walk that stops where
+// its loop stops. It never throws and never evaluates the pcap.read
+// failpoint, so sizing the Trace moves no throw, truncation or failpoint.
+std::size_t count_records(std::span<const std::byte> data, bool swapped,
+                          std::uint32_t linktype) {
+  std::size_t count = 0;
+  std::size_t off = kFileHeaderSize;
+  while (data.size() - off >= kRecordHeaderSize) {
+    const std::uint32_t cap_len = get_u32(data.data() + off + 8, swapped);
+    off += kRecordHeaderSize;
+    if (cap_len > kMaxRecordLen || data.size() - off < cap_len) break;
+    if (is_ipv4_frame(linktype, data.data() + off, cap_len)) ++count;
+    off += cap_len;
+  }
+  return count;
+}
 
-Trace parse_pcap_buffer(std::span<const std::byte> data,
-                        const std::string& source_name,
-                        telemetry::Registry* registry) {
+// parse_pcap_buffer's body. When `data` is a page-aligned read-only file
+// mapping (`mapped`), parsed pages are dropped behind the cursor.
+Trace parse_savefile(std::span<const std::byte> data,
+                     const std::string& source_name,
+                     telemetry::Registry* registry,
+                     [[maybe_unused]] bool mapped) {
   telemetry::Counter* m_records = telemetry::get_counter(
       registry, "rloop_pcap_records_total", {},
       "pcap records read into the trace");
@@ -88,11 +115,22 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
   }
 
   Trace trace(source_name, 0);
+  trace.reserve(count_records(data, swapped, linktype));
   bool have_epoch = false;
   TimeNs last_ts = 0;
   std::size_t off = kFileHeaderSize;
+  [[maybe_unused]] std::size_t released = 0;
 
   while (off < data.size()) {
+#if defined(RLOOP_HAVE_MMAP) && defined(MADV_DONTNEED)
+    // Every byte before `off` is copied or skipped; its pages can go.
+    if (mapped && off - released >= kReleaseStep) {
+      const std::size_t upto = off - off % kReleaseStep;
+      ::madvise(const_cast<std::byte*>(data.data()) + released,
+                upto - released, MADV_DONTNEED);
+      released = upto;
+    }
+#endif
     if (data.size() - off < kRecordHeaderSize) {
       // The capture ends mid-header (killed tcpdump, full disk): keep what
       // was read and count the remnant instead of failing the whole trace.
@@ -109,7 +147,7 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
     const std::uint32_t frac = get_u32(rh + 4, swapped);
     const std::uint32_t cap_len = get_u32(rh + 8, swapped);
     const std::uint32_t wire_len = get_u32(rh + 12, swapped);
-    if (cap_len > (1u << 20)) {
+    if (cap_len > kMaxRecordLen) {
       throw std::runtime_error("read_pcap: implausible record length");
     }
     off += kRecordHeaderSize;
@@ -136,12 +174,9 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
 
     std::uint32_t pkt_wire_len = wire_len;
     if (linktype == kLinktypeEthernet) {
-      if (pkt_len < kEthernetHeaderSize) {
-        telemetry::inc(m_skipped_short);
-        continue;
-      }
-      if (read_u16({pkt, pkt_len}, 12) != kEtherTypeIpv4) {
-        telemetry::inc(m_skipped_non_ipv4);
+      if (!is_ipv4_frame(linktype, pkt, pkt_len)) {
+        telemetry::inc(pkt_len < kEthernetHeaderSize ? m_skipped_short
+                                                     : m_skipped_non_ipv4);
         continue;
       }
       pkt += kEthernetHeaderSize;
@@ -154,6 +189,16 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
     trace.add(ts, std::span<const std::byte>(pkt, pkt_len), pkt_wire_len);
   }
   return trace;
+}
+
+}  // namespace
+
+void (*pcap_mmap_test_hook)() = nullptr;
+
+Trace parse_pcap_buffer(std::span<const std::byte> data,
+                        const std::string& source_name,
+                        telemetry::Registry* registry) {
+  return parse_savefile(data, source_name, registry, /*mapped=*/false);
 }
 
 #if defined(RLOOP_HAVE_MMAP)
@@ -211,10 +256,10 @@ std::optional<Trace> parse_mapped(int fd, const std::string& path,
   }
 
   try {
-    Trace trace = parse_pcap_buffer(
+    Trace trace = parse_savefile(
         std::span<const std::byte>(static_cast<const std::byte*>(map),
                                    effective),
-        "pcap:" + path, registry);
+        "pcap:" + path, registry, /*mapped=*/true);
     ::munmap(map, size);
     return trace;
   } catch (...) {

@@ -2,11 +2,14 @@
 //
 // parse_pcap_buffer is the only code that decodes the savefile framing:
 // micro/nano timestamps, either byte order, raw or Ethernet linktype, the
-// record plausibility bound and torn-tail truncation. read_pcap_fast feeds
-// it in one of two ways, chosen by fstat, not by an option:
+// record plausibility bound and torn-tail truncation. It first counts the
+// records it will keep in a framing-only walk of the record headers, so the
+// Trace is allocated once at its exact size. read_pcap_fast feeds it in one
+// of two ways, chosen by fstat, not by an option:
 //   - a regular file is mapped and parsed in place (one MADV_SEQUENTIAL
 //     hint; records are copied once, straight from the mapping into the
-//     Trace);
+//     Trace, and parsed pages are dropped behind the cursor in 4 MiB
+//     MADV_DONTNEED steps);
 //   - input that cannot be mapped (pipe, socket, non-POSIX build, an mmap
 //     refusal) is read whole into memory first, so it holds its raw bytes
 //     as well as the Trace while parsing. Every caller loads the whole

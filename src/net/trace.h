@@ -48,6 +48,8 @@ class Trace {
   // Serializes the packet's headers and appends them (convenience for the
   // simulator tap and tests).
   void add(TimeNs ts, const ParsedPacket& pkt, std::uint32_t wire_len);
+  // Reserves room for `n` records, so that many adds never reallocate.
+  void reserve(std::size_t n) { records_.reserve(n); }
 
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }

@@ -58,13 +58,6 @@ inline void expect_equal_results(const core::LoopDetectionResult& a,
                                  const core::LoopDetectionResult& b) {
   EXPECT_EQ(a.total_records, b.total_records);
   EXPECT_EQ(a.parse_failures, b.parse_failures);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].ts, b.records[i].ts) << "record " << i;
-    EXPECT_EQ(a.records[i].index, b.records[i].index) << "record " << i;
-    EXPECT_EQ(a.records[i].ok, b.records[i].ok) << "record " << i;
-    EXPECT_EQ(a.records[i].dst24, b.records[i].dst24) << "record " << i;
-  }
   expect_equal_stream_vectors(a.raw_streams, b.raw_streams, "raw_streams");
   expect_equal_stream_vectors(a.valid_streams, b.valid_streams,
                               "valid_streams");

@@ -32,8 +32,10 @@ TEST(EdgeCases, FragmentReplicasAreDetected) {
   ASSERT_EQ(result.valid_streams.size(), 1u);
   EXPECT_EQ(result.valid_streams[0].size(), 6u);
   EXPECT_EQ(result.valid_streams[0].dominant_ttl_delta(), 2);
-  // The record parsed without a transport header.
-  EXPECT_EQ(result.records[0].pkt.udp(), nullptr);
+  // The record parses without a transport header.
+  const auto first = net::parse_packet(trace[0].bytes());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->udp(), nullptr);
 }
 
 // Different fragments of the same datagram share the IP ID but differ in

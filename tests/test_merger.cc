@@ -18,7 +18,8 @@ const Ipv4Addr kOtherDst(198, 18, 5, 20);
 std::vector<RoutingLoop> run_pipeline(TraceBuilder& builder,
                                       MergerConfig cfg = {}) {
   const auto records = parse_trace(builder.trace());
-  const auto raw = ReplicaDetector(ReplicaDetectorConfig{}).detect(builder.trace(), records);
+  const auto raw = ReplicaDetector(ReplicaDetectorConfig{})
+                       .detect(RecordStore::build(builder.trace()));
   const auto valid = StreamValidator(ValidatorConfig{}).validate(records, raw);
   return StreamMerger(cfg).merge(records, valid);
 }

@@ -97,12 +97,12 @@ TEST(Metrics, TrafficTypeMixFractions) {
   builder.replica_stream(10'000, Ipv4Addr(203, 0, 113, 1), 60, 99, 3, 2, 100);
   const auto result = result_for(builder);
 
-  const auto all = traffic_type_mix(result.records);
+  const auto all = traffic_type_mix(builder.trace());
   EXPECT_EQ(all.total(), 6u);
   EXPECT_DOUBLE_EQ(all.fraction("UDP"), 1.0);
   EXPECT_DOUBLE_EQ(all.fraction("TCP"), 0.0);
 
-  const auto looped = looped_type_mix(result.records, result.valid_streams);
+  const auto looped = looped_type_mix(builder.trace(), result.valid_streams);
   EXPECT_EQ(looped.total(), 3u);  // only the replicas
   EXPECT_DOUBLE_EQ(looped.fraction("UDP"), 1.0);
 }

@@ -107,7 +107,7 @@ TEST(PaperInvariants, Fig4_SpacingUnder8msOnShortHaulLinks) {
 
 TEST(PaperInvariants, Fig5_TrafficMix) {
   for (int k = 1; k <= 4; ++k) {
-    const auto mix = core::traffic_type_mix(data(k).result.records);
+    const auto mix = core::traffic_type_mix(data(k).run->trace());
     EXPECT_GT(mix.fraction("TCP"), 0.80) << "backbone " << k;
     EXPECT_GT(mix.fraction("UDP"), 0.04) << "backbone " << k;
     EXPECT_LT(mix.fraction("UDP"), 0.20) << "backbone " << k;
@@ -123,9 +123,9 @@ TEST(PaperInvariants, Fig6_LoopedSynOverRepresentation) {
   int counted = 0;
   for (int k : {1, 2}) {
     const auto& d = data(k);
-    const auto all = core::traffic_type_mix(d.result.records);
+    const auto all = core::traffic_type_mix(d.run->trace());
     const auto looped =
-        core::looped_type_mix(d.result.records, d.result.valid_streams);
+        core::looped_type_mix(d.run->trace(), d.result.valid_streams);
     if (looped.total() == 0) continue;
     looped_syn += looped.fraction("SYN");
     all_syn += all.fraction("SYN");

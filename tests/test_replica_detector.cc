@@ -18,8 +18,7 @@ const Ipv4Addr kOtherDst(198, 18, 5, 20);
 
 std::vector<ReplicaStream> detect(TraceBuilder& builder,
                                   ReplicaDetectorConfig cfg = {}) {
-  const auto records = parse_trace(builder.trace());
-  return ReplicaDetector(cfg).detect(builder.trace(), records);
+  return ReplicaDetector(cfg).detect(RecordStore::build(builder.trace()));
 }
 
 TEST(ReplicaDetector, FindsBasicStream) {
@@ -260,9 +259,8 @@ TEST(StreamMembership, MarksExactlyStreamRecords) {
   builder.packet(0, kOtherDst, 64, 1);                          // index 0
   builder.replica_stream(1000, kDst, 60, 7, 3, 2, 1000);        // 1, 2, 3
   builder.packet(10'000, kOtherDst, 64, 2);                     // index 4
-  const auto records = parse_trace(builder.trace());
-  const auto streams = ReplicaDetector(ReplicaDetectorConfig{}).detect(builder.trace(), records);
-  const auto member = stream_membership(records.size(), streams);
+  const auto streams = detect(builder);
+  const auto member = stream_membership(builder.trace().size(), streams);
   EXPECT_EQ(member, (std::vector<bool>{false, true, true, true, false}));
 }
 

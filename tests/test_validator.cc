@@ -21,7 +21,8 @@ struct ValidationRun {
 
 ValidationRun validate(TraceBuilder& builder, ValidatorConfig cfg = {}) {
   const auto records = parse_trace(builder.trace());
-  const auto raw = ReplicaDetector(ReplicaDetectorConfig{}).detect(builder.trace(), records);
+  const auto raw = ReplicaDetector(ReplicaDetectorConfig{})
+                       .detect(RecordStore::build(builder.trace()));
   ValidationRun run;
   run.valid = StreamValidator(cfg).validate(records, raw, &run.stats);
   return run;
