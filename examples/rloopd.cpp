@@ -275,27 +275,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   });
 
-  // The constructor decided cold start vs restore; say which on stderr so
-  // an operator (or the crash-recovery soak) can tell at a glance.
   const daemon::Daemon::RestoreInfo& restore = d.restore_info();
-  if (!d.config().checkpoint_dir.empty()) {
-    if (restore.restored) {
-      const auto now = static_cast<std::uint64_t>(std::time(nullptr));
-      std::fprintf(stderr,
-                   "rloopd: restored checkpoint seq=%llu age=%llus "
-                   "(skipping %llu consumed records)\n",
-                   static_cast<unsigned long long>(restore.seq),
-                   static_cast<unsigned long long>(
-                       now >= restore.wall_unix_s
-                           ? now - restore.wall_unix_s
-                           : 0),
-                   static_cast<unsigned long long>(restore.source_offset));
-    } else {
-      std::fprintf(stderr, "rloopd: cold start (no valid checkpoint in %s)\n",
-                   d.config().checkpoint_dir.c_str());
-    }
-  }
-
   if (!d.config().alerts_out.empty()) {
     const std::string& alerts_out = d.config().alerts_out;
     if (restore.restored) {
@@ -319,6 +299,28 @@ int main(int argc, char** argv) {
 
   g_daemon = &d;
   if (g_stop_flag) d.request_stop();
+
+  // The constructor decided cold start vs restore; say which on stderr so
+  // an operator (or the crash-recovery soak) can tell at a glance. Said only
+  // once the signal handlers reach the daemon, so a SIGHUP sent on seeing
+  // the line is never lost.
+  if (!d.config().checkpoint_dir.empty()) {
+    if (restore.restored) {
+      const auto now = static_cast<std::uint64_t>(std::time(nullptr));
+      std::fprintf(stderr,
+                   "rloopd: restored checkpoint seq=%llu age=%llus "
+                   "(skipping %llu consumed records)\n",
+                   static_cast<unsigned long long>(restore.seq),
+                   static_cast<unsigned long long>(
+                       now >= restore.wall_unix_s
+                           ? now - restore.wall_unix_s
+                           : 0),
+                   static_cast<unsigned long long>(restore.source_offset));
+    } else {
+      std::fprintf(stderr, "rloopd: cold start (no valid checkpoint in %s)\n",
+                   d.config().checkpoint_dir.c_str());
+    }
+  }
 
   const daemon::DaemonStats stats = d.run();
   g_daemon = nullptr;

@@ -2,29 +2,36 @@
 // sharded pipeline (core/pipeline.cc), which keeps one warm state per shard
 // across runs.
 //
-// Open streams live in one FlatMap keyed by ReplicaKey, replica lists in an
-// arena. A stream is a bump-allocated node with two inline replicas (the
-// overwhelming majority of candidates never grow past one), overflowing into
-// arena-chunked spans, all reclaimed wholesale when the state is destroyed —
-// or rewound in place by reset(), which is what lets a persistent pipeline
-// workspace run the whole detect stage without heap traffic once warm.
+// Open streams live in the OpenTable the streaming detector also uses
+// (core/open_table.h): one slot per replica key, holding the key's chain of
+// open streams. A stream is a bump-allocated arena node with two inline
+// replicas (the overwhelming majority of candidates never grow past one),
+// overflowing into arena-chunked spans, all reclaimed wholesale when the
+// state is destroyed — or rewound in place by reset(), which is what lets a
+// persistent pipeline workspace run the whole detect stage without heap
+// traffic once warm.
 //
 // In front of the state machine sits a RepeatMark: a record whose key hash
 // occurs once in the run is counted and skipped (see feed()). Streams, and
 // every journal event payload, are field-identical to the reference engine
 // in replica_detector.cc (detect_reference), and so are the records,
 // replicas-matched and emitted counters and the spacing histogram. The
-// opened and expired counters count candidates over the records that reach
-// the state machine — those whose key hash repeats, plus the one-offs a
-// shared mark bucket lets through — so they are at most the reference's.
+// opened counter counts candidates over the records that reach the state
+// machine — those whose key hash repeats, plus the one-offs a shared mark
+// bucket lets through — so it is at most the reference's. Expired counts
+// streams closed by the timeout, at a lookup of their key or when the table
+// retires the key; the reference closes the latter at the key's next
+// lookup, or uncounted at the end of the run.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/open_table.h"
 #include "core/parallel.h"
 #include "core/record_store.h"
 #include "core/replica_detector.h"
@@ -33,7 +40,6 @@
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
 #include "util/arena.h"
-#include "util/flat_map.h"
 
 namespace rloop::core::detail {
 
@@ -125,7 +131,7 @@ struct FlatOpenStream {
   ReplicaChunk* head_chunk = nullptr;
   ReplicaChunk* tail_chunk = nullptr;
   std::uint32_t count = 0;
-  net::TimeNs last_ts = 0;
+  net::TimeNs last_ts = 0;  // every replica updates it: the stream's end
   std::uint8_t last_ttl = 0;
   net::Ipv4Addr dst;
   net::Prefix dst24;
@@ -150,9 +156,6 @@ struct FlatOpenStream {
   }
 
   net::TimeNs start() const { return inline_replicas[0].ts; }
-  // Every accepted replica updates last_ts, so last_ts is always the final
-  // replica's timestamp — the stream's end.
-  net::TimeNs end() const { return last_ts; }
   std::uint32_t first_record_index() const {
     return inline_replicas[0].record_index;
   }
@@ -195,7 +198,6 @@ struct FlatDetectState {
     open.clear();
     closed.clear();
     counts = LocalCounts{};
-    since_sweep = 0;
   }
 
   const ReplicaDetectorConfig* config = nullptr;
@@ -206,58 +208,26 @@ struct FlatDetectState {
   // first feed(); a pipeline shard marks only the hashes it owns.
   RepeatMark mark;
   util::Arena arena;
-  util::FlatMap<ReplicaKey, FlatOpenStream*, ReplicaKeyHash> open;
+  // Per key, its open streams newest first; every record touches its key.
+  OpenTable<FlatOpenStream*> open;
   std::vector<ReplicaStream> closed;
   LocalCounts counts;
 
-  // Periodic sweep keeps the open table bounded by the arrival rate of
-  // marked records times the stream timeout rather than by the trace length:
-  // most entries still never produce a replica. Sweep timing affects
-  // only memory and the expired counter, never which streams are emitted: a
-  // timed-out stream can no longer be extended (the per-key expiry check
-  // below closes it before any extension attempt).
-  static constexpr std::uint32_t kSweepInterval = 1 << 16;
-  std::uint32_t since_sweep = 0;
-
-  void close_stream(const ReplicaKey& key, const FlatOpenStream* os) {
+  // A timed-out stream also counts as expired.
+  void close_stream(const ReplicaKey& key, const FlatOpenStream* os,
+                    bool timed_out = false) {
+    counts.expired += timed_out ? 1 : 0;
     if (os->count >= 2) {
       ++counts.emitted;
       telemetry::record(
           journal, {.kind = telemetry::DecisionKind::stream_emitted,
                     .dst24 = os->dst24,
-                    .ts = os->end(),
+                    .ts = os->last_ts,
                     .record_index = os->first_record_index(),
                     .detail = static_cast<std::int64_t>(os->count),
                     .detail2 = os->start()});
-      ReplicaStream stream;
-      stream.key = key;
-      stream.dst = os->dst;
-      stream.dst24 = os->dst24;
-      stream.replicas = os->materialize();
-      closed.push_back(std::move(stream));
+      closed.push_back({key, os->dst, os->dst24, os->materialize()});
     }
-  }
-
-  // Closes every timed-out stream in the chain and returns the surviving
-  // chain, order preserved. Expired nodes stay in the arena (freed
-  // wholesale); idempotent, as erase_if requires.
-  FlatOpenStream* expire_chain(const ReplicaKey& key, FlatOpenStream* head,
-                               net::TimeNs now) {
-    FlatOpenStream* kept = nullptr;
-    FlatOpenStream** tail = &kept;
-    while (head != nullptr) {
-      FlatOpenStream* next = head->older;
-      if (now - head->last_ts > config->stream_timeout) {
-        ++counts.expired;
-        close_stream(key, head);
-      } else {
-        *tail = head;
-        tail = &head->older;
-      }
-      head = next;
-    }
-    *tail = nullptr;
-    return kept;
   }
 
   // Feeds parsed record i (store.ok(i)): through the state machine when
@@ -265,38 +235,36 @@ struct FlatDetectState {
   // is built from the store's precomputed hash column, so FNV runs exactly
   // once per record on every path.
   void feed(const RecordStore& store, std::size_t i) {
-    const std::uint64_t hash = store.key_hash(i);
-    if (!mark.repeated(hash)) {
-      ++counts.records;
-      return;
-    }
-    process(store, i, make_replica_key(store.bytes(i), hash));
-  }
-
-  // `key` must be make_replica_key over record i's captured bytes.
-  void process(const RecordStore& store, std::size_t i,
-               const ReplicaKey& key) {
     ++counts.records;
+    const std::uint64_t hash = store.key_hash(i);
+    if (!mark.repeated(hash)) return;
+    const ReplicaKey key = make_replica_key(store.bytes(i), hash);
     const net::TimeNs ts = store.ts(i);
     const std::uint8_t ttl = store.ttl(i);
     const auto index = static_cast<std::uint32_t>(i);
 
-    if (++since_sweep >= kSweepInterval) {
-      since_sweep = 0;
-      open.erase_if([&](const ReplicaKey& k, FlatOpenStream*& head) {
-        head = expire_chain(k, head, ts);
-        return head == nullptr;
-      });
-    }
-
-    const auto matches = [&](const ReplicaKey& k) { return k == key; };
-    FlatOpenStream** entry = open.find_hashed(key.hash, matches);
-    if (entry != nullptr) {
-      // Expire stale streams for this key first.
-      *entry = expire_chain(key, *entry, ts);
-
-      // Try to extend the most recent compatible stream (newest first).
-      for (FlatOpenStream* os = *entry; os != nullptr; os = os->older) {
+    // Timestamps never decrease (a Trace rejects it, and every shard is fed
+    // in trace order), so a key the FIFO retires here last touched its
+    // newest stream more than stream_timeout ago: its whole chain has timed
+    // out, as the reference would find at the key's next lookup.
+    open.expire(ts, config->stream_timeout,
+                [&](const ReplicaKey& k, const FlatOpenStream* os) {
+                  for (; os != nullptr; os = os->older) {
+                    close_stream(k, os, true);
+                  }
+                });
+    open.reserve_one();
+    const std::uint32_t slot = open.find(key);
+    if (slot != open.kNone) {
+      // Newest first: close and unlink timed-out streams (their nodes stay
+      // in the arena), and extend the first compatible one.
+      FlatOpenStream** link = &open.value(slot);
+      while (FlatOpenStream* os = *link) {
+        if (ts - os->last_ts > config->stream_timeout) {
+          close_stream(key, os, true);
+          *link = os->older;
+          continue;
+        }
         const int delta =
             static_cast<int>(os->last_ttl) - static_cast<int>(ttl);
         const bool looped = delta >= config->min_ttl_delta;
@@ -308,6 +276,7 @@ struct FlatDetectState {
           os->push(arena, {index, ts, ttl});
           if (looped) os->last_ttl = ttl;
           os->last_ts = ts;
+          open.touch(slot, ts);
           telemetry::record(
               journal, {.kind = telemetry::DecisionKind::replica_accepted,
                         .dst24 = store.dst24(i),
@@ -317,36 +286,34 @@ struct FlatDetectState {
                         .detail2 = static_cast<std::int64_t>(os->count)});
           return;
         }
+        link = &os->older;
       }
 
       // A live candidate stream existed for this exact header, but the TTL
       // delta disqualified the observation — the one per-packet negative
       // decision worth journaling (first-seen packets are non-decisions).
-      if (*entry != nullptr) {
+      // The scan reached the end, so the chain holds live streams only.
+      if (const FlatOpenStream* newest = open.value(slot)) {
         telemetry::record(
             journal, {.kind = telemetry::DecisionKind::replica_rejected,
                       .dst24 = store.dst24(i),
                       .ts = ts,
                       .record_index = index,
-                      .detail = static_cast<int>((*entry)->last_ttl) -
+                      .detail = static_cast<int>(newest->last_ttl) -
                                 static_cast<int>(ttl)});
       }
     }
 
     // Start a new stream headed by this packet.
     ++counts.opened;
-    auto* os = arena.create<FlatOpenStream>();
-    os->dst = store.dst(i);
-    os->dst24 = store.dst24(i);
-    os->inline_replicas[0] = {index, ts, ttl};
-    os->count = 1;
-    os->last_ttl = ttl;
-    os->last_ts = ts;
-    if (entry != nullptr) {
-      os->older = *entry;
-      *entry = os;  // no rehash since find_hashed: the slot pointer is valid
+    auto* os = arena.create<FlatOpenStream>(FlatOpenStream{
+        .count = 1, .last_ts = ts, .last_ttl = ttl, .dst = store.dst(i),
+        .dst24 = store.dst24(i), .inline_replicas = {{index, ts, ttl}}});
+    if (slot == open.kNone) {
+      open.insert(key, os, ts);
     } else {
-      open.emplace_hashed(key.hash, matches, key, os);
+      os->older = std::exchange(open.value(slot), os);
+      open.touch(slot, ts);
     }
   }
 
@@ -354,10 +321,8 @@ struct FlatDetectState {
   // caller moves the streams out; `closed` itself stays, so its capacity
   // survives reset().
   void finish() {
-    open.for_each([&](const ReplicaKey& key, FlatOpenStream*& head) {
-      for (const FlatOpenStream* os = head; os != nullptr; os = os->older) {
-        close_stream(key, os);
-      }
+    open.for_each([&](const ReplicaKey& key, const FlatOpenStream* os) {
+      for (; os != nullptr; os = os->older) close_stream(key, os);
     });
     open.clear();
     sort_streams(closed);

@@ -4,8 +4,6 @@
 #include <unordered_map>
 
 #include "core/detect_state.h"
-#include "util/arena.h"
-#include "util/flat_map.h"
 
 namespace rloop::core {
 

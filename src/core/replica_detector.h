@@ -91,10 +91,10 @@ class ReplicaDetector {
 
   // Returns every stream with at least two elements, ordered by start time.
   // The store is the filled trace (RecordStore::build); records with
-  // ok == false are ignored. The hot path runs on a flat open-addressing
-  // table (util/flat_map.h) with arena-backed replica lists (util/arena.h);
-  // output is field-identical to detect_reference() — the differential
-  // tests in tests/test_memory_layout.cc prove it.
+  // ok == false are ignored. The hot path runs on the streaming detector's
+  // open-stream table (core/open_table.h), with no sweep, and arena-backed
+  // replica lists (util/arena.h); output is field-identical to
+  // detect_reference() — tests/test_memory_layout.cc proves it.
   std::vector<ReplicaStream> detect(const RecordStore& store) const;
 
   // Parallel-pipeline hooks: core/pipeline.cc keeps one warm flat state per

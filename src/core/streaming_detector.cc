@@ -48,7 +48,6 @@ StreamingDetector::StreamingDetector(StreamingConfig config,
 
 namespace {
 
-constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 // Packets between trims of the hold-down and suspect tables.
 constexpr std::uint32_t kTickPackets = 1u << 15;
 
@@ -57,65 +56,17 @@ constexpr std::uint32_t kTickPackets = 1u << 15;
 // Grows every container on_packet may append to, before the packet writes
 // any detector state: a std::bad_alloc from here (or from the failpoint)
 // leaves the detector exactly as if it never saw the packet. Each packet
-// appends at most one slab slot, one FIFO record, one suspect slot and one
-// entry in each map, and after this point the detector's own tables never
-// allocate.
+// inserts or touches one open-table slot and appends at most one suspect
+// slot and one entry in each map; after this point nothing allocates.
 void StreamingDetector::reserve_for_packet() {
   if (RLOOP_FAILPOINT("streaming.insert")) throw std::bad_alloc();
-  if (free_head_ == kNoSlot && slab_.size() == slab_.capacity()) {
-    slab_.reserve(std::max<std::size_t>(64, 2 * slab_.size()));
-  }
-  if (touch_count_ == touches_.size()) {
-    std::vector<Touch> bigger(std::max<std::size_t>(64, 2 * touches_.size()));
-    for (std::size_t i = 0; i < touch_count_; ++i) {
-      bigger[i] = touches_[(touch_head_ + i) & (touches_.size() - 1)];
-    }
-    touches_.swap(bigger);
-    touch_head_ = 0;
-  }
+  open_.reserve_one();
   if (suspect_slots_.size() == suspect_slots_.capacity()) {
     suspect_slots_.reserve(
         std::max<std::size_t>(64, 2 * suspect_slots_.size()));
   }
-  index_.reserve(index_.size() + 1);
   suspects_.reserve(suspects_.size() + 1);
   last_alert_.reserve(last_alert_.size() + 1);
-}
-
-void StreamingDetector::push_touch(std::uint32_t slot, net::TimeNs ts) {
-  touches_[(touch_head_ + touch_count_) & (touches_.size() - 1)] = {slot, ts};
-  ++touch_count_;
-}
-
-StreamingDetector::Touch StreamingDetector::pop_touch() {
-  const Touch touch = touches_[touch_head_];
-  touch_head_ = (touch_head_ + 1) & (touches_.size() - 1);
-  --touch_count_;
-  return touch;
-}
-
-// Frees the record's entry if the record is still its latest touch. A slot
-// reused by an entry touched at the same instant is retired too, which is
-// right: that entry's last_ts is the record's.
-bool StreamingDetector::retire(const Touch& touch) {
-  Slot& slot = slab_[touch.slot];
-  if (!slot.live || slot.entry.last_ts != touch.ts) return false;
-  index_.erase_hashed(slot.key.hash,
-                      [&](std::uint32_t s) { return s == touch.slot; });
-  slot.live = false;
-  slot.next_free = free_head_;
-  free_head_ = touch.slot;
-  return true;
-}
-
-// Exact expiry: every entry idle for more than stream_timeout is gone
-// before the packet at `now` is looked up. O(1) amortised — each record is
-// pushed once and popped once.
-void StreamingDetector::expire(net::TimeNs now) {
-  while (touch_count_ > 0 &&
-         now - touches_[touch_head_].ts > config_.stream_timeout) {
-    retire(pop_touch());
-  }
 }
 
 // Trims the two small tables; the open entries need no sweep. suspects_
@@ -132,57 +83,17 @@ void StreamingDetector::tick(net::TimeNs now) {
       std::unique(suspect_slots_.begin(), suspect_slots_.end()),
       suspect_slots_.end());
   std::erase_if(suspect_slots_, [&](std::uint32_t s) {
-    return !slab_[s].live || slab_[s].entry.replicas < 2;
+    return !open_.live(s) || open_.value(s).replicas < 2;
   });
   ++tick_;
   for (const std::uint32_t s : suspect_slots_) {
-    suspects_[slab_[s].entry.prefix24] = tick_;
+    suspects_[open_.value(s).prefix24] = tick_;
   }
   last_alert_.for_each([&](const net::Prefix& prefix, net::TimeNs) {
     suspects_[prefix] = tick_;
   });
   suspects_.erase_if(
       [&](const net::Prefix&, std::uint32_t stamp) { return stamp != tick_; });
-}
-
-// Hard-budget eviction (the bounded-memory guarantee the daemon relies on).
-// Runs only when an insert would cross max_open_entries. Expiry has already
-// removed every entry idle past stream_timeout, so this pops the FIFO —
-// oldest touch first, skipping stale records — down to ~7/8 of the budget,
-// so evictions happen in batches instead of on every packet at the
-// boundary.
-void StreamingDetector::enforce_budget() {
-  const std::size_t target =
-      config_.max_open_entries -
-      std::max<std::size_t>(1, config_.max_open_entries / 8);
-  std::uint64_t evicted = 0;
-  while (index_.size() > target && touch_count_ > 0) {
-    if (retire(pop_touch())) ++evicted;
-  }
-  evicted_ += evicted;
-  telemetry::inc(m_evicted_, evicted);
-}
-
-void StreamingDetector::open_slot(const ReplicaKey& key, net::TimeNs ts,
-                                  std::uint8_t ttl, net::Prefix prefix24) {
-  std::uint32_t s = free_head_;
-  if (s != kNoSlot) {
-    free_head_ = slab_[s].next_free;
-  } else {
-    s = static_cast<std::uint32_t>(slab_.size());
-    slab_.emplace_back();
-  }
-  Slot& slot = slab_[s];
-  slot.key = key;
-  slot.entry = OpenEntry{};
-  slot.entry.first_ts = ts;
-  slot.entry.last_ts = ts;
-  slot.entry.last_ttl = ttl;
-  slot.entry.prefix24 = prefix24;
-  slot.live = true;
-  index_.emplace_hashed(
-      key.hash, [&](std::uint32_t o) { return slab_[o].key == key; }, s, s);
-  push_touch(s, ts);
 }
 
 void StreamingDetector::on_packet(net::TimeNs ts,
@@ -205,13 +116,15 @@ void StreamingDetector::on_packet(net::TimeNs ts,
     telemetry::inc(m_reordered_);
   }
   last_ts_ = ts;
-  expire(ts);
+  // Exact expiry: every entry idle for more than stream_timeout is gone
+  // before the packet is looked up.
+  open_.expire(ts, config_.stream_timeout, [](const auto&...) {});
   if (++since_sweep_ >= kTickPackets) {
     since_sweep_ = 0;
     tick(ts);
   }
   process(ts, bytes);
-  telemetry::set(m_open_entries_, static_cast<std::int64_t>(index_.size()));
+  telemetry::set(m_open_entries_, static_cast<std::int64_t>(open_.size()));
 }
 
 void StreamingDetector::process(net::TimeNs ts,
@@ -235,33 +148,37 @@ void StreamingDetector::process(net::TimeNs ts,
     return;
   }
   const ReplicaKey key = make_replica_key(bytes);
-  const std::uint32_t* found = index_.find_hashed(
-      key.hash, [&](std::uint32_t s) { return slab_[s].key == key; });
-  if (!found) {
-    if (config_.max_open_entries > 0 &&
-        index_.size() >= config_.max_open_entries) {
-      enforce_budget();
+  // The entry this packet starts if it opens or restarts a stream.
+  const OpenEntry fresh{ts, ts, ip->ttl, 1, 0, net::Prefix::slash24(ip->dst)};
+  const std::uint32_t s = open_.find(key);
+  if (s == open_.kNone) {
+    // Hard-budget eviction (the bounded-memory guarantee the daemon relies
+    // on), only when this insert would cross max_open_entries. Expiry has
+    // already removed every entry idle past stream_timeout, so this pops the
+    // FIFO — oldest touch first, skipping stale records — down to ~7/8 of
+    // the budget, so evictions happen in batches instead of on every packet
+    // at the boundary.
+    const std::size_t budget = config_.max_open_entries;
+    if (budget > 0 && open_.size() >= budget) {
+      const std::uint64_t evicted =
+          open_.evict_to(budget - std::max<std::size_t>(1, budget / 8));
+      evicted_ += evicted;
+      telemetry::inc(m_evicted_, evicted);
     }
-    open_slot(key, ts, ip->ttl, net::Prefix::slash24(ip->dst));
-    peak_open_ = std::max(peak_open_, index_.size());
+    open_.insert(key, fresh, ts);
+    peak_open_ = std::max(peak_open_, open_.size());
     return;
   }
 
-  const std::uint32_t s = *found;
-  OpenEntry& entry = slab_[s].entry;
-  const net::TimeNs previous_ts = entry.last_ts;
+  OpenEntry& entry = open_.value(s);
   const int delta =
       static_cast<int>(entry.last_ttl) - static_cast<int>(ip->ttl);
   // Expiry has already removed every entry idle past stream_timeout.
   if (delta < config_.min_ttl_delta) {
     if (delta < 0) {
       // TTL increased: a different original packet with identical bytes.
-      entry = OpenEntry{};
-      entry.first_ts = ts;
-      entry.last_ts = ts;
-      entry.last_ttl = ip->ttl;
-      entry.prefix24 = net::Prefix::slash24(ip->dst);
-      if (ts != previous_ts) push_touch(s, ts);
+      entry = fresh;
+      open_.touch(s, ts);
     }
     // Equal/-1 TTL: link-layer duplicate or adjacent hop; not loop evidence.
     return;
@@ -271,7 +188,7 @@ void StreamingDetector::process(net::TimeNs ts,
   entry.last_ts = ts;
   entry.last_delta = delta;
   ++entry.replicas;
-  if (ts != previous_ts) push_touch(s, ts);
+  open_.touch(s, ts);
   // Two replicas make the entry a loop suspect: exempt its /24 from overload
   // sampling so the stream's count stays exact under degradation.
   if (entry.replicas == 2) {
@@ -316,12 +233,11 @@ void StreamingDetector::process(net::TimeNs ts,
 std::vector<StreamingDetector::SuspectEntry>
 StreamingDetector::suspect_entries(std::size_t max) const {
   std::vector<SuspectEntry> out;
-  for (const Slot& slot : slab_) {
-    const OpenEntry& entry = slot.entry;
-    if (!slot.live || entry.replicas < 2) continue;
+  open_.for_each([&](const ReplicaKey&, const OpenEntry& entry) {
+    if (entry.replicas < 2) return;
     out.push_back({entry.prefix24, entry.first_ts, entry.last_ts,
                    entry.replicas, entry.last_delta});
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const SuspectEntry& a, const SuspectEntry& b) {
               if (a.replicas != b.replicas) return a.replicas > b.replicas;
@@ -343,12 +259,12 @@ StreamingDetector::Snapshot StreamingDetector::snapshot() const {
   snap.sampled_dropped = sampled_dropped_;
   snap.peak_open = peak_open_;
   snap.since_sweep = since_sweep_;
-  snap.open.reserve(index_.size());
-  for (const Slot& slot : slab_) {
-    if (slot.live) snap.open.emplace_back(slot.key, slot.entry);
-  }
+  snap.open.reserve(open_.size());
+  open_.for_each([&](const ReplicaKey& key, const OpenEntry& entry) {
+    snap.open.emplace_back(key, entry);
+  });
   // Canonical order: identical state must serialize to identical bytes
-  // regardless of which slab slots the entries happen to occupy.
+  // regardless of which table slots the entries happen to occupy.
   std::sort(snap.open.begin(), snap.open.end(),
             [](const auto& a, const auto& b) {
               if (a.first.hash != b.first.hash) {
@@ -366,23 +282,15 @@ StreamingDetector::Snapshot StreamingDetector::snapshot() const {
 }
 
 void StreamingDetector::restore(const Snapshot& snap) {
-  slab_.clear();
-  free_head_ = kNoSlot;
-  index_.clear();
+  open_.clear();
   suspects_.clear();
   suspect_slots_.clear();
   last_alert_.clear();
-  slab_.reserve(snap.open.size());
-  index_.reserve(snap.open.size());
   for (const auto& [key, entry] : snap.open) {
-    const auto s = static_cast<std::uint32_t>(slab_.size());
-    if (!index_.emplace_hashed(
-                   key.hash,
-                   [&](std::uint32_t o) { return slab_[o].key == key; }, s, s)
-             .second) {
-      continue;  // a duplicate key in a hand-made snapshot: keep the first
-    }
-    slab_.push_back({key, entry, kNoSlot, true});
+    // A duplicate key in a hand-made snapshot: keep the first.
+    if (open_.find(key) != open_.kNone) continue;
+    open_.reserve_one();
+    const std::uint32_t s = open_.insert(key, entry, entry.last_ts);
     if (entry.replicas >= 2) {
       suspects_.emplace(entry.prefix24, tick_);
       suspect_slots_.push_back(s);
@@ -392,22 +300,10 @@ void StreamingDetector::restore(const Snapshot& snap) {
     last_alert_.emplace(prefix, ts);
     suspects_.emplace(prefix, tick_);
   }
-  // The FIFO is rebuilt in (last_ts, snapshot order): the snapshot does not
-  // record touch order, and this order is deterministic. Expiry does not
-  // depend on it; only the budget's choice among entries touched at the
-  // same instant does.
-  std::vector<std::uint32_t> order(slab_.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return slab_[a].entry.last_ts < slab_[b].entry.last_ts;
-                   });
-  std::size_t capacity = 64;
-  while (capacity < order.size() + 1) capacity <<= 1;
-  touches_.assign(capacity, Touch{});
-  touch_head_ = 0;
-  touch_count_ = 0;
-  for (const std::uint32_t s : order) push_touch(s, slab_[s].entry.last_ts);
+  // The snapshot has no touch order: the FIFO is rebuilt in (last_ts,
+  // snapshot order). Expiry does not depend on it; only the budget's choice
+  // among entries touched at the same instant does.
+  open_.sort_expiry_order();
   last_ts_ = snap.last_ts;
   packets_seen_ = snap.packets_seen;
   alerts_raised_ = snap.alerts_raised;
@@ -417,7 +313,7 @@ void StreamingDetector::restore(const Snapshot& snap) {
   sampled_dropped_ = snap.sampled_dropped;
   peak_open_ = static_cast<std::size_t>(snap.peak_open);
   since_sweep_ = snap.since_sweep;
-  telemetry::set(m_open_entries_, static_cast<std::int64_t>(index_.size()));
+  telemetry::set(m_open_entries_, static_cast<std::int64_t>(open_.size()));
 }
 
 }  // namespace rloop::core

@@ -11,8 +11,9 @@
 // Memory is bounded by the number of distinct packets seen within one
 // stream timeout (packet rate x stream timeout), independent of how long
 // the detector runs: every packet retires the entries that went idle past
-// stream_timeout, in O(1) amortised work, so the open table holds exactly
-// the current window and there is no periodic sweep of it.
+// stream_timeout, in O(1) amortised work, so the open table (the OpenTable
+// the offline detector also uses) holds exactly the current window and there
+// is no periodic sweep of it.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "core/open_table.h"
 #include "core/replica_detector.h"
 #include "core/replica_key.h"
 #include "net/prefix.h"
@@ -163,35 +165,15 @@ class StreamingDetector {
   // Entries evicted by the max_open_entries budget (not by normal timeout).
   std::uint64_t evicted() const { return evicted_; }
   // Open replica-candidate entries currently tracked (for memory tests).
-  std::size_t open_entries() const { return index_.size(); }
+  std::size_t open_entries() const { return open_.size(); }
   // High-water mark of open_entries() over the detector's lifetime; with a
   // budget configured this never exceeds max_open_entries.
   std::size_t peak_open_entries() const { return peak_open_; }
 
  private:
-  // One slab slot: an open entry while `live`, a free-list link otherwise.
-  struct Slot {
-    ReplicaKey key;
-    OpenEntry entry;
-    std::uint32_t next_free = 0;
-    bool live = false;
-  };
-  // Expiry FIFO record: slot `slot` had its last_ts set to `ts`.
-  struct Touch {
-    std::uint32_t slot = 0;
-    net::TimeNs ts = 0;
-  };
-
   void reserve_for_packet();
   void process(net::TimeNs ts, std::span<const std::byte> bytes);
-  void expire(net::TimeNs now);
   void tick(net::TimeNs now);
-  void enforce_budget();
-  void open_slot(const ReplicaKey& key, net::TimeNs ts, std::uint8_t ttl,
-                 net::Prefix prefix24);
-  bool retire(const Touch& touch);
-  void push_touch(std::uint32_t slot, net::TimeNs ts);
-  Touch pop_touch();
 
   StreamingConfig config_;
   AlertCallback on_alert_;
@@ -205,18 +187,8 @@ class StreamingDetector {
   telemetry::Counter* m_evicted_ = nullptr;
   telemetry::Counter* m_sampled_ = nullptr;
   telemetry::Gauge* m_open_entries_ = nullptr;
-  // Open entries live in slab_; index_ maps the key's FNV hash to the slot
-  // (key and value are both the slot; lookups compare slab_[slot].key), so
-  // a map slot is 16 B and robin-hood moves never copy a ReplicaKey.
-  std::vector<Slot> slab_;
-  std::uint32_t free_head_ = ~std::uint32_t{0};
-  util::FlatMap<std::uint32_t, std::uint32_t> index_;
-  // Arrival-order expiry FIFO, a power-of-two ring. Timestamps are monotone
-  // after the reorder clamp, so records are in last_ts order; a record is
-  // stale once its slot's entry was retouched, freed or reused.
-  std::vector<Touch> touches_;
-  std::size_t touch_head_ = 0;
-  std::size_t touch_count_ = 0;
+  // Last touched at last_ts; monotone after the reorder clamp, as expiry needs.
+  OpenTable<OpenEntry> open_;
   util::FlatMap<net::Prefix, net::TimeNs> last_alert_;
   // /24s exempt from overload sampling: any open entry that has already
   // accumulated >=2 replicas, plus recently alerted prefixes. Trimmed every
@@ -225,7 +197,7 @@ class StreamingDetector {
   util::FlatMap<net::Prefix, std::uint32_t> suspects_;
   // Slots whose entry reached 2 replicas (may hold freed or reused slots
   // until the next tick); the tick rebuilds suspects_ from this list, not
-  // from a scan of the slab.
+  // from a scan of the open table.
   std::vector<std::uint32_t> suspect_slots_;
   std::uint32_t tick_ = 0;
   net::TimeNs last_ts_ = 0;

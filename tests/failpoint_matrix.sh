@@ -60,16 +60,29 @@ env -u RLOOP_FAILPOINTS_SPEC timeout 120 "$RLOOPD" $SCEN \
   fail "restart after tripped checkpoint write"
 
 # SIGHUP mid-run with the reload failpoint tripped: the reload is abandoned,
-# the running config stays live, and the run still completes.
+# the running config stays live, and the run still completes. rloopd prints
+# its cold-start line once its signal handlers reach the daemon; the HUP
+# waits for that line (polled, at most 60 s) rather than for a fixed time,
+# which a slow sanitized build can outlast.
 echo "== daemon.config.reload=trip@nth:1 (live SIGHUP) =="
 echo "stats_interval_s=0" >"$WORK/reload.conf"
 rm -f "$WORK/stats.json"
 RLOOP_FAILPOINTS_SPEC="daemon.config.reload=trip@nth:1" \
   timeout 120 "$RLOOPD" --scenario ddos_burst --seed 0 --speed 5 \
   --policy drop-newest --quiet --config "$WORK/reload.conf" \
+  --checkpoint-dir "$WORK/reload_ckpt" \
   --stats-out "$WORK/stats.json" >"$WORK/out" 2>"$WORK/err" &
 PID=$!
-sleep 2
+polls=0
+until grep -q "rloopd: cold start" "$WORK/err"; do
+  kill -0 "$PID" 2>/dev/null || break
+  if [ "$polls" -ge 600 ]; then
+    kill "$PID" 2>/dev/null || true
+    fail "daemon.config.reload: no cold-start line within 60 s"
+  fi
+  sleep 0.1
+  polls=$((polls + 1))
+done
 kill -HUP "$PID" 2>/dev/null || true
 wait "$PID" || fail "daemon.config.reload trip during SIGHUP"
 require_trip daemon.config.reload

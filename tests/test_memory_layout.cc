@@ -513,6 +513,161 @@ TEST(MemoryLayout, OneOffsSharingAMarkBucketAreBothProcessed) {
   EXPECT_EQ(pair_opened.serial, pair_opened.reference);
 }
 
+// A seeded mutator for stream expiry over long traces. Filler headers each
+// occur twice, one hop apart (never loop evidence), so every filler record
+// passes the repeated-hash mark and reaches the state machine, at about
+// 8 k records per second: any stream-timeout window holds more than 64 Ki
+// of them, and the trace spans several timeouts. Mixed in: keys
+// re-observed just under, exactly at and one nanosecond past the timeout;
+// loops whose replica gaps include the timeout, the timeout plus 1 ns and
+// zero (bursts at one timestamp); IP-ID reuse and TTL increases that leave
+// one key with a chain of several open streams; duplicate bursts; truncated
+// and non-IPv4 rows.
+net::Trace& expiry_trace(TraceBuilder& builder, std::uint64_t seed,
+                         int filler_pairs) {
+  util::Rng rng(seed);
+  constexpr net::TimeNs kTimeout = ReplicaDetectorConfig{}.stream_timeout;
+  const auto byte = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::uint8_t>(rng.uniform_int(lo, hi));
+  };
+  net::TimeNs t = 0;
+  for (int i = 0; i < filler_pairs; ++i) {
+    t += rng.uniform_int(1, 500) * net::kMicrosecond;
+    const net::Ipv4Addr dst(172, byte(16, 31), byte(0, 255), byte(1, 254));
+    const net::Ipv4Addr src(198, 51, static_cast<std::uint8_t>(i >> 16), 1);
+    const auto ip_id = static_cast<std::uint16_t>(i);
+    const std::uint8_t ttl = byte(20, 250);
+    builder.packet(t, dst, ttl, ip_id, src);
+    builder.packet(t + rng.uniform_int(0, 3000) * net::kMicrosecond, dst,
+                   static_cast<std::uint8_t>(rng.bernoulli(0.5) ? ttl - 1
+                                                                : ttl + 1),
+                   ip_id, src);
+  }
+  const net::TimeNs span = t;
+  const auto at = [&] { return rng.uniform_int(0, span); };
+  const auto gap = [&] {
+    switch (rng.uniform_int(0, 5)) {
+      case 0:
+        return kTimeout;
+      case 1:
+        return kTimeout + 1;
+      case 2:
+        return net::TimeNs{0};
+      default:
+        return rng.uniform_int(1, 3000) * net::kMillisecond;
+    }
+  };
+  const auto near_timeout = [&] {
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        return kTimeout - 1;
+      case 1:
+        return kTimeout;
+      case 2:
+        return kTimeout + 1;
+      default:
+        return kTimeout - rng.uniform_int(1, 1000) * net::kMicrosecond;
+    }
+  };
+  std::uint16_t next_id = 0;
+  // Keys re-observed just under, at or just past the timeout, one every
+  // ~4 ms, so whenever a 64 Ki-record window closes some key has sat idle
+  // for almost the whole timeout.
+  for (net::TimeNs t0 = 0; t0 < span; t0 += 4 * net::kMillisecond) {
+    const net::Ipv4Addr dst(10, 1, byte(0, 255), byte(1, 254));
+    const std::uint16_t ip_id = ++next_id;
+    const net::TimeNs start = t0 + rng.uniform_int(0, 999) * net::kMicrosecond;
+    const net::TimeNs idle = near_timeout();
+    builder.packet(start, dst, 200, ip_id);
+    builder.packet(start + idle, dst, 198, ip_id);
+    if (rng.bernoulli(0.3)) builder.packet(start + 2 * idle, dst, 196, ip_id);
+  }
+  // Loops, some starting together (bursts at one timestamp across keys).
+  net::TimeNs loop_start = at();
+  for (int loop = 0; loop < 60; ++loop) {
+    if (rng.bernoulli(0.7)) loop_start = at();
+    const net::Ipv4Addr dst(10, 2, byte(0, 15), byte(1, 254));
+    const std::uint16_t ip_id = ++next_id;
+    const int delta = static_cast<int>(rng.uniform_int(2, 6));
+    net::TimeNs ts = loop_start;
+    int ttl = 250;
+    for (int n = static_cast<int>(rng.uniform_int(3, 30)); n > 0 && ttl > 0;
+         --n) {
+      builder.packet(ts, dst, static_cast<std::uint8_t>(ttl), ip_id);
+      ttl -= delta;
+      ts += gap();
+    }
+  }
+  // One header at random TTLs: increases open a new stream beside the
+  // open ones, decreases extend the newest stream they can.
+  for (int key = 0; key < 60; ++key) {
+    const net::Ipv4Addr dst(10, 3, byte(0, 15), byte(1, 254));
+    const std::uint16_t ip_id = ++next_id;
+    net::TimeNs ts = at();
+    for (int n = static_cast<int>(rng.uniform_int(6, 24)); n > 0; --n) {
+      builder.packet(ts, dst, byte(30, 250), ip_id);
+      ts += gap();
+    }
+  }
+  // Duplicate bursts: equal-TTL copies, then sometimes a looped replica.
+  for (int burst = 0; burst < 40; ++burst) {
+    const net::Ipv4Addr dst(10, 4, byte(0, 15), byte(1, 254));
+    const std::uint16_t ip_id = ++next_id;
+    const net::TimeNs ts = at();
+    const std::uint8_t ttl = byte(10, 250);
+    for (int n = static_cast<int>(rng.uniform_int(2, 8)); n > 0; --n) {
+      builder.packet(ts + rng.uniform_int(0, 1) * net::kMicrosecond, dst, ttl,
+                     ip_id);
+    }
+    if (rng.bernoulli(0.5)) {
+      builder.packet(ts + net::kMillisecond, dst,
+                     static_cast<std::uint8_t>(ttl - 2), ip_id);
+    }
+  }
+  // Truncated rows and non-IPv4 rows (version 6 in the first nibble).
+  for (int i = 0; i < 200; ++i) {
+    builder.raw(at(), std::vector<std::byte>(
+                          static_cast<std::size_t>(rng.uniform_int(0, 19))));
+    std::vector<std::byte> v6(40);
+    v6[0] = std::byte{0x60};
+    builder.raw(at(), std::move(v6));
+  }
+  return builder.trace();
+}
+
+// Records whose key hash occurs more than once: a lower bound on what the
+// repeated-hash mark passes to the state machine.
+std::size_t repeated_records(const RecordStore& store) {
+  std::unordered_map<std::uint64_t, std::size_t> seen;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    if (store.ok(i)) ++seen[store.key_hash(i)];
+  }
+  std::size_t repeated = 0;
+  for (const auto& [hash, count] : seen) repeated += count > 1 ? count : 0;
+  return repeated;
+}
+
+void expect_expiry_trace_matches_reference(std::uint64_t seed,
+                                           int filler_pairs) {
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  TraceBuilder builder;
+  const net::Trace& trace = expiry_trace(builder, seed, filler_pairs);
+  ASSERT_GT(repeated_records(RecordStore::build(trace)), 2u * 65'536u)
+      << "fixture must run the state machine past two 64 Ki-record windows";
+  expect_every_path_matches_reference(trace);
+}
+
+TEST(MemoryLayout, ExpiryMutatorMatchesReferenceSmallBudget) {
+  expect_expiry_trace_matches_reference(24, 75'000);
+}
+
+// Slow tier (a separate ctest entry).
+TEST(MemoryLayout, ExpiryMutatorMatchesReferenceLargeBudget) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_expiry_trace_matches_reference(seed, 250'000);
+  }
+}
+
 // Every store column equals the parse_trace view of the same record,
 // including the zeroed dst/dst24/ttl/key_hash of rejected rows, and both
 // offline paths count exactly the view's parse failures while filling.
@@ -909,9 +1064,11 @@ TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
   // would hide a regression (one extra fan-out is one allocation; a mark
   // that skips nothing only moves the opened/expired candidate counts).
   // Those two may differ between the paths, since each shard's mark sees
-  // only its own records (DESIGN.md §5.1); every other work count must
-  // agree. A change that moves a pin on purpose re-pins it here and says
-  // why.
+  // only its own records (DESIGN.md §5.1), and each shard's expiry runs at
+  // its own records' timestamps, so a stream that times out after its
+  // shard's last record closes uncounted at the end of the run; every other
+  // work count must agree. A change that moves a pin on purpose re-pins it
+  // here and says why.
   struct Fixture {
     const char* name;
     const net::Trace* trace;
@@ -926,14 +1083,14 @@ TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
   //       rejected{too_small}, rejected{prefix_conflict}, merges, loops
   for (const Fixture& f : {
            Fixture{"fuzz", &fuzz_trace(fuzz_builder, 202),
-                   {537, {813, 291, 511, 249, 191, 49, 133, 9, 7, 42}},
-                   {512, {813, 291, 511, 249, 191, 49, 133, 9, 7, 42}}},
+                   {533, {813, 291, 511, 506, 191, 49, 133, 9, 7, 42}},
+                   {512, {813, 291, 511, 504, 191, 49, 133, 9, 7, 42}}},
            Fixture{"one_off", &one_off_trace(one_off_builder, 203, 100'000),
-                   {244, {100'298, 233, 4861, 21, 62, 16, 12, 34, 2, 14}},
-                   {199, {100'298, 233, 4876, 21, 62, 16, 12, 34, 2, 14}}},
+                   {244, {100'298, 233, 4861, 4641, 62, 16, 12, 34, 2, 14}},
+                   {199, {100'298, 233, 4876, 4564, 62, 16, 12, 34, 2, 14}}},
            Fixture{"golden", &golden,
-                   {51, {656, 184, 11, 0, 3, 3, 0, 0, 1, 2}},
-                   {38, {656, 184, 17, 0, 3, 3, 0, 0, 1, 2}}},
+                   {55, {656, 184, 11, 1, 3, 3, 0, 0, 1, 2}},
+                   {38, {656, 184, 17, 6, 3, 3, 0, 0, 1, 2}}},
        }) {
     LoopDetectorConfig serial_config;
     PipelineWorkspace workspace;

@@ -174,18 +174,23 @@ TEST(ReplicaDetector, MalformedRecordsIgnored) {
   EXPECT_EQ(streams[0].size(), 5u);
 }
 
-TEST(ReplicaDetector, SweepPreservesLongQuietStreams) {
-  // A stream with gaps below the timeout must survive the periodic sweep
-  // even when tens of thousands of unrelated packets pass in between.
+TEST(ReplicaDetector, LongQuietStreamSurvivesBusyTraffic) {
+  // A stream with gaps below the timeout must survive expiry even when
+  // tens of thousands of unrelated packets pass in between. Each filler
+  // header occurs twice, one hop apart, so the repeated-hash mark hands
+  // every filler record (more than 64 Ki of them) to the state machine,
+  // and no filler pair is loop evidence.
   TraceBuilder builder;
   builder.packet(0, kDst, 60, 7);
   net::TimeNs t = 1000;
   for (int i = 0; i < 70000; ++i) {
     // Vary the source with the IP ID epoch so 16-bit ID wraparound does not
     // produce accidental byte-identical packets.
-    builder.packet(t, kOtherDst, 64, static_cast<std::uint16_t>(i),
-                   net::Ipv4Addr(198, 51, 100,
-                                 static_cast<std::uint8_t>(1 + (i >> 16))));
+    const net::Ipv4Addr src(198, 51, 100,
+                            static_cast<std::uint8_t>(1 + (i >> 16)));
+    const auto ip_id = static_cast<std::uint16_t>(i);
+    builder.packet(t, kOtherDst, 64, ip_id, src);
+    builder.packet(t + 500, kOtherDst, 63, ip_id, src);
     t += 1000;
   }
   builder.packet(t + 1000, kDst, 58, 7);  // within timeout of the head
