@@ -22,41 +22,38 @@ struct LoopDetectorConfig {
   ReplicaDetectorConfig detector;
   ValidatorConfig validator;
   MergerConfig merger;
-  // Multi-threaded execution. num_threads <= 1 (the default) is the serial
-  // path; > 1 runs the sharded pipeline (core/pipeline.h): num_threads
-  // identical pool bodies parse a slice each, then detect the shards they
-  // own (sharded by replica-key hash), then validate and merge run once,
-  // through the same calls as the serial path.
-  // Results are field-identical to the serial path for every thread/shard
-  // count — see parallel.h for the argument and
-  // tests/test_parallel_pipeline.cc for the proof harness.
+  // Step 1's fan-out (core/pipeline.h): num_threads identical bodies, one
+  // thread each (body 0 on the calling thread, so the default of 1 starts
+  // none), parse a slice each, then detect the shards they own (sharded by
+  // replica-key hash); validate and merge then run once on the calling
+  // thread. Results are field-identical for every thread/shard count —
+  // see parallel.h for the argument and tests/test_parallel_pipeline.cc
+  // for the proof harness.
   ParallelConfig parallel;
-  // Optional metrics sink. When set, every stage records a wall-clock
-  // latency histogram (rloop_pipeline_stage_latency_ns{stage=...}); the
-  // parallel path additionally records per-shard detect latency
+  // Optional metrics sink. When set, every run records a wall-clock
+  // latency histogram per stage (rloop_pipeline_stage_latency_ns{stage=
+  // parse|detect|validate|merge}), per-shard detect latency
   // (rloop_pipeline_shard_latency_ns{stage="detect",shard=...}), stage
-  // busy/idle time and thread-pool queue depth and task counts; and the
-  // stage objects register their own counters. The registry need only
-  // outlive the call, even when a workspace is reused. When null the
-  // pipeline runs with zero telemetry overhead: no metric is resolved, no
-  // label set is built, and nothing is allocated for telemetry.
+  // busy/idle time and the pool's task count, and the stage objects
+  // register their own counters. The registry need only outlive the call,
+  // even when a workspace is reused. When null the pipeline runs with zero
+  // telemetry overhead: no metric is resolved, no label set is built, and
+  // nothing is allocated for telemetry.
   telemetry::Registry* registry = nullptr;
   // Optional span sink: a root "detect_loops" span, one span per stage
-  // (parse/detect/validate/merge; the parallel path has no parse span, its
-  // front is one detect stage), and on the parallel path the detect front's
-  // per-body spans
-  // (parse_chunk/mark_shards/detect_chunk/detect_shard), exportable as
-  // Chrome trace-event JSON (TraceSink::chrome_trace_json).
+  // (parse/detect/validate/merge) on the calling thread, and the per-body
+  // spans (parse_chunk/mark_shards/detect_chunk/detect_shard) of bodies
+  // 1..num_threads-1 in their workers' lanes, exportable as Chrome
+  // trace-event JSON (TraceSink::chrome_trace_json).
   // Null costs one predictable branch per would-be span.
   telemetry::TraceSink* trace = nullptr;
   // Optional decision journal: every stage records its per-stream /
   // per-replica-match verdicts with typed reasons (see decision_log.h).
   telemetry::DecisionLog* journal = nullptr;
-  // Optional persistent workspace for the parallel path (core/pipeline.h).
-  // The sharded pipeline reuses its thread pool, SoA store, shard-id
-  // column, per-body record lists and per-shard detect states across
-  // calls, so a warm run's steady-state allocation rate drops below the
-  // serial path's (tests/test_memory_layout.cc pins this). Null makes
+  // Optional persistent workspace (core/pipeline.h). detect_loops()
+  // reuses its thread pool, SoA store, record buckets and per-shard detect
+  // states across calls, so a warm run allocates only what its result
+  // holds (tests/test_memory_layout.cc pins the count). Null makes
   // detect_loops() build a transient workspace per call; results are
   // identical either way.
   PipelineWorkspace* workspace = nullptr;
@@ -85,7 +82,7 @@ struct LoopDetectionResult {
 };
 
 // Runs parse -> detect -> validate -> merge on `trace`. Defined in
-// core/pipeline.cc, next to the sharded pipeline it dispatches to.
+// core/pipeline.cc.
 LoopDetectionResult detect_loops(const net::Trace& trace,
                                  const LoopDetectorConfig& config = {});
 

@@ -1,16 +1,17 @@
-// Sharding configuration and the shard-assignment hash for the parallel
-// detection pipeline.
+// Sharding configuration and the shard-assignment hash for the offline
+// detection pipeline (core/pipeline.h).
 //
 // The pipeline parallelizes step 1 by partitioning its keyed state, never
-// by splitting a key's records across workers: it shards by
+// by splitting a key's records across bodies: it shards by
 // hash(ReplicaKey), so all observations of one normalized header land in
 // one shard, in trace order, and every per-shard stream is exactly the
-// stream the serial detector builds. A deterministic total-order merge of
-// the shards' streams (documented at the call site) makes the output
-// bit-identical to the serial path for every (num_threads, shard_bits) —
-// tests/test_parallel_pipeline.cc proves it. Steps 2-3 (validate, merge)
-// are per-/24 range queries over the few streams step 1 emits; both paths
-// run them serially, through the same calls.
+// stream a single state fed the whole trace builds. A deterministic
+// total-order merge of the shards' streams (documented at the call site)
+// makes the output identical for every (num_threads, shard_bits) —
+// tests/test_parallel_pipeline.cc proves it. A one-thread run is the
+// one-shard case of the same code. Steps 2-3 (validate, merge) are
+// per-/24 range queries over the few streams step 1 emits; they run once,
+// on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -18,18 +19,19 @@
 namespace rloop::core {
 
 struct ParallelConfig {
-  // Pool bodies (threads); <= 1 selects the serial path (no pool is
-  // created).
+  // Pipeline bodies, one thread each; body 0 runs on the calling thread,
+  // so 0 or 1 starts no thread.
   unsigned num_threads = 1;
   // log2 of the shard count. Ownership is static — shard s belongs to body
   // s % num_threads — so shards beyond the thread count buy only a finer
   // balance of records across bodies, not work stealing; with fewer shards
   // than threads, the bodies past the last shard only parse. 2^4 = 16 is
-  // plenty for the core counts this targets. Clamped to [0, 10].
+  // plenty for the core counts this targets. Clamped to [0, 10]. Ignored
+  // by a one-thread run, which has nothing to balance: it uses one shard.
   unsigned shard_bits = 4;
 
-  bool enabled() const { return num_threads > 1; }
   unsigned num_shards() const {
+    if (num_threads <= 1) return 1;
     const unsigned bits = shard_bits > 10 ? 10 : shard_bits;
     return 1u << bits;
   }

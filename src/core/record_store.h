@@ -3,19 +3,19 @@
 // only IP-header fields, so the store holds those, one column each:
 //
 //   ts        int64   capture timestamp
-//   dst       uint32  raw destination address (0 when !ok)
-//   dst24     uint32  destination address masked to /24 (0 when !ok)
+//   dst       uint32  raw destination address (0 when !ok); dst24(i) and
+//                     dst24_key(i) mask it to the /24
 //   ttl       uint8   IP TTL (0 when !ok)
 //   ok        uint8   1 when the IP header parsed
 //   key_hash  uint64  replica_key_hash over the captured bytes (0 when !ok)
 //
 // One filler, fill_row(), writes every row straight from the record's
-// captured bytes: build() runs it over the trace on the serial path, each
-// parallel pipeline body over its slice, so FNV runs once per record on
-// every path. The store also keeps a pointer to the source trace: replica
-// keys are materialized from the raw captured bytes (byte-precise equality,
-// no false merges), which `bytes(i)` hands out, so the trace must outlive
-// the store.
+// captured bytes: each detect_loops() body runs it over its slice of the
+// trace, and build() over the whole trace, so FNV runs once per record.
+// The store also keeps a pointer to the source trace: replica keys are
+// materialized from the raw captured bytes (byte-precise equality, no
+// false merges), which `bytes(i)` hands out, so the trace must outlive the
+// store.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +33,8 @@ class RecordStore {
  public:
   RecordStore() = default;
 
-  // prepare + fill_row over every record of `trace`. `parse_failures`, when
-  // non-null, receives the number of rows whose IP header did not parse.
-  static RecordStore build(const net::Trace& trace,
-                           std::uint64_t* parse_failures = nullptr);
+  // prepare + fill_row over every record of `trace`.
+  static RecordStore build(const net::Trace& trace);
 
   // build(trace); `records` is not read. Kept for rloopbench's staged
   // serial pass, which still holds parse_trace(trace); it goes with it.
@@ -46,7 +44,7 @@ class RecordStore {
   }
 
   // Sizes every column for the records of `trace` and keeps a pointer to it.
-  // fill_row then writes each row exactly once (on the parallel path, the
+  // fill_row then writes each row exactly once (in detect_loops(), the
   // body whose slice holds it). Capacity is reused across calls, so a
   // persistent workspace's store allocates nothing once warm.
   void prepare(const net::Trace& trace);
@@ -63,11 +61,11 @@ class RecordStore {
   std::uint8_t ttl(std::size_t i) const { return ttl_[i]; }
   net::Ipv4Addr dst(std::size_t i) const { return net::Ipv4Addr(dst_[i]); }
   net::Prefix dst24(std::size_t i) const {
-    return net::Prefix::of(net::Ipv4Addr(dst24_[i]), 24);
+    return net::Prefix::slash24(dst(i));
   }
   // Packed form of dst24 (net::Prefix::pack), the NonLoopedIndex sort key.
   std::uint64_t dst24_key(std::size_t i) const {
-    return net::Prefix::pack(dst24_[i], 24);
+    return net::Prefix::pack(dst_[i] & 0xFFFFFF00u, 24);
   }
   std::uint64_t key_hash(std::size_t i) const { return key_hash_[i]; }
 
@@ -81,7 +79,6 @@ class RecordStore {
   const net::Trace* trace_ = nullptr;
   std::vector<net::TimeNs> ts_;
   std::vector<std::uint32_t> dst_;
-  std::vector<std::uint32_t> dst24_;
   std::vector<std::uint8_t> ttl_;
   std::vector<std::uint8_t> ok_;
   std::vector<std::uint64_t> key_hash_;

@@ -91,14 +91,16 @@ class ReplicaDetector {
 
   // Returns every stream with at least two elements, ordered by start time.
   // The store is the filled trace (RecordStore::build); records with
-  // ok == false are ignored. The hot path runs on the streaming detector's
+  // ok == false are ignored. detect_loops() does not call this: it runs the
+  // same engine on warm per-shard states (a one-thread run has one shard
+  // and does this exact work). The hot path runs on the streaming detector's
   // open-stream table (core/open_table.h), with no sweep, and arena-backed
   // replica lists (util/arena.h); output is field-identical to
   // detect_reference() — tests/test_memory_layout.cc proves it.
   std::vector<ReplicaStream> detect(const RecordStore& store) const;
 
-  // Parallel-pipeline hooks: core/pipeline.cc keeps one warm flat state per
-  // shard across runs, so it cannot call detect(). bind() points a state at
+  // Pipeline hooks: core/pipeline.cc keeps one warm flat state per shard
+  // across runs, so it cannot call detect(). bind() points a state at
   // this detector's config, spacing histogram and journal; publish() adds a
   // run's counts to this detector's counters. detect() is bind, process,
   // finish and publish on one state.

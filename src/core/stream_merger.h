@@ -58,8 +58,7 @@ class StreamMerger {
   // Columnized equivalent: identical loops, with the NonLoopedIndex built
   // from the SoA store's columns, scoped to the streams' own prefixes (the
   // only ones a gap check queries), instead of from every ParsedRecord.
-  // Both offline paths (serial and pipelined detect_loops) run this
-  // overload.
+  // detect_loops() runs this overload.
   std::vector<RoutingLoop> merge(
       const RecordStore& store,
       const std::vector<ReplicaStream>& valid_streams) const;

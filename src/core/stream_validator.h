@@ -53,8 +53,8 @@ class StreamValidator {
 
   // Columnized equivalent: identical verdicts, with the NonLoopedIndex built
   // from the SoA store's columns, scoped to the streams' own prefixes (the
-  // only ones a verdict queries), instead of from every ParsedRecord. Both
-  // offline paths (serial and pipelined detect_loops) run this overload.
+  // only ones a verdict queries), instead of from every ParsedRecord.
+  // detect_loops() runs this overload.
   std::vector<ReplicaStream> validate(const RecordStore& store,
                                       std::vector<ReplicaStream> streams,
                                       ValidationStats* stats = nullptr) const;

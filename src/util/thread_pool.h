@@ -1,18 +1,18 @@
-// A small fixed-size worker pool for the sharded detection pipeline.
+// A small fixed set of worker threads for the detection pipeline's fan-out.
 //
-// The pool is deliberately minimal: a mutex-protected FIFO of
-// std::function tasks, N workers, and a blocking parallel_for. Shard fan-out
-// in this repo is coarse (tens of tasks, each scanning thousands to millions
-// of records), so queue contention is irrelevant and a lock-free deque would
-// buy nothing. Determinism note: the pool never influences *what* the
-// pipeline computes — sharded stages partition work by stable hashes and
-// merge results with total-order sorts — it only influences *when* each
-// shard runs.
+// The pipeline runs T bodies that meet at one barrier, so each body needs a
+// thread of its own: a thread that ran two bodies would wait at the barrier
+// for itself. run() gives that by construction — body 0 runs on the calling
+// thread and body w + 1 on worker w — so a one-body run starts no thread and
+// a T-body run needs T - 1 workers. Determinism note: the pool never
+// influences *what* the pipeline computes — bodies partition work by stable
+// hashes and the caller merges their results with total-order sorts — it
+// only influences *when* each body runs.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -20,21 +20,14 @@
 #include <vector>
 
 #include "telemetry/registry.h"
-#include "telemetry/trace.h"
 
 namespace rloop::util {
 
 class ThreadPool {
  public:
-  // Spawns max(1, num_threads) workers. `registry` (optional) receives a
-  // queue-depth gauge (rloop_threadpool_queue_depth) and a submitted-task
-  // counter (rloop_threadpool_tasks_total). `trace` (optional) receives one
-  // span per parallel_for task, named by the call site, recorded on the
-  // worker thread that ran it — so a Perfetto view shows each shard in its
-  // worker's lane.
-  explicit ThreadPool(std::size_t num_threads,
-                      telemetry::Registry* registry = nullptr,
-                      telemetry::TraceSink* trace = nullptr);
+  // Spawns exactly `num_workers` threads (0 is valid: run(1, ...) then
+  // runs on the caller alone).
+  explicit ThreadPool(std::size_t num_workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -42,47 +35,36 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // Re-points the queue-depth gauge, task counter and span sink at new
-  // sinks (null detaches). Call only while no fan-out is in flight. An
-  // owner that keeps the pool across calls with different sinks (the
-  // pipeline workspace) attaches the caller's sinks for one call and
-  // detaches them after, so the pool never holds a pointer that outlives
-  // the sink it points into.
-  void set_telemetry(telemetry::Registry* registry,
-                     telemetry::TraceSink* trace);
+  // Points the body counter (rloop_threadpool_tasks_total) at `registry`
+  // (null detaches). Call only while no run() is in flight. An owner that
+  // keeps the pool across calls with different registries (the pipeline
+  // workspace) attaches the caller's registry for one call and detaches it
+  // after, so the pool never holds a pointer that outlives the registry.
+  void set_telemetry(telemetry::Registry* registry);
 
-  // Enqueues a task; it runs on some worker, eventually. Tasks must not
-  // throw (submit-side exceptions terminate); use parallel_for for
-  // exception-propagating fan-out.
-  void submit(std::function<void()> task);
-
-  // Runs body(0) .. body(n-1) across the pool and blocks until all have
-  // finished. The first exception thrown by any body is rethrown here after
-  // the remaining indices drain (they still run; shard work is independent).
-  // Internally the fan-out enqueues min(n, size()) runner tasks that claim
-  // indices from a shared atomic counter — per-call queue traffic is
-  // bounded by the worker count, not by n, so a million-index fan-out costs
-  // the same synchronization as a sixteen-index one. `span_name` labels
-  // each index's span when a trace sink is attached; it must be a string
-  // literal (spans keep the pointer, not a copy). Pass nullptr to suppress
-  // per-index spans — callers that emit their own finer-grained spans
-  // inside the body (the sharded pipeline) use that to keep those spans at
-  // depth 0 in the worker's lane.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                    const char* span_name = "task");
+  // Runs body(0) on the calling thread and body(i), 1 <= i < n, on worker
+  // i - 1, and blocks until every body has returned; n <= size() + 1. No
+  // two bodies share a thread, so bodies may wait for one another. The
+  // first exception a body throws is rethrown here once all have returned.
+  // Allocates nothing.
+  void run(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:
-  void worker_loop();
+  void worker_loop(std::size_t w);
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  std::mutex mu_;
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
+  // The fan-out in flight, published under mu_ with a new generation.
+  const std::function<void(std::size_t)>* body_ = nullptr;
+  std::size_t bodies_ = 0;
+  std::uint64_t generation_ = 0;
+  std::size_t pending_ = 0;  // worker bodies not yet returned
+  std::exception_ptr error_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 
-  telemetry::Gauge* m_queue_depth_ = nullptr;
   telemetry::Counter* m_tasks_ = nullptr;
-  telemetry::TraceSink* trace_ = nullptr;
 };
 
 }  // namespace rloop::util

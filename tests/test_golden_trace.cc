@@ -93,16 +93,25 @@ TEST(GoldenTrace, ObservabilitySpansAndDecisionJournal) {
   const auto result = core::detect_loops(trace, config);
   ASSERT_EQ(result.loops.size(), 2u);
 
-  // --- spans: structurally valid Chrome trace JSON with every stage --------
+  // --- spans: structurally valid Chrome trace JSON with every stage, at one
+  // thread and at four ------------------------------------------------------
   const std::string spans_json = sink.chrome_trace_json();
-  std::string error;
-  EXPECT_TRUE(testing::is_valid_json(spans_json, &error)) << error;
-  EXPECT_EQ(sink.dropped(), 0u);
-  for (const char* name :
-       {"detect_loops", "parse", "detect", "validate", "merge"}) {
-    EXPECT_NE(spans_json.find("\"name\":\"" + std::string(name) + "\""),
-              std::string::npos)
-        << name;
+  telemetry::TraceSink parallel_sink;
+  core::LoopDetectorConfig traced_parallel;
+  traced_parallel.parallel.num_threads = 4;
+  traced_parallel.trace = &parallel_sink;
+  ASSERT_EQ(core::detect_loops(trace, traced_parallel).loops.size(), 2u);
+  for (const telemetry::TraceSink* traced : {&sink, &parallel_sink}) {
+    const std::string json = traced->chrome_trace_json();
+    std::string error;
+    EXPECT_TRUE(testing::is_valid_json(json, &error)) << error;
+    EXPECT_EQ(traced->dropped(), 0u);
+    for (const char* name :
+         {"detect_loops", "parse", "detect", "validate", "merge"}) {
+      EXPECT_NE(json.find("\"name\":\"" + std::string(name) + "\""),
+                std::string::npos)
+          << name;
+    }
   }
 
   // --- journal: pinned causal reason sequence for the merged loop ----------

@@ -1,6 +1,7 @@
 // Differential test harness for the sharded, multi-threaded pipeline: for
-// every (num_threads, shard_bits) the parallel detect_loops() must produce
-// FIELD-IDENTICAL results to the serial path — same raw streams (replica by
+// every (num_threads, shard_bits) detect_loops() must produce
+// FIELD-IDENTICAL results to its one-thread, one-shard run (the serial
+// case below) — same raw streams (replica by
 // replica, record index by record index), same validated streams, same
 // loops, same ValidationStats. The sharding argument (parallel.h) says this
 // holds for any trace; these tests check it on simulator-generated Backbone
@@ -15,6 +16,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "core/loop_detector.h"
@@ -139,7 +141,8 @@ TEST(ParallelPipeline, EmptyTrace) {
 // the workspace: the allocation failure surfaces as std::bad_alloc from
 // detect_loops(), and a rerun on the same workspace matches serial. A fresh
 // workspace makes the first arena chunk and the first open-table growth
-// happen inside a body's feed scan.
+// happen inside a body's feed scan — at one thread, in body 0 on the
+// calling thread.
 TEST(ParallelPipeline, AllocationFailureInBodyThrowsAndWorkspaceRecovers) {
 #if !defined(RLOOP_FAILPOINTS)
   GTEST_SKIP() << "failpoint sites compiled out (-DRLOOP_FAILPOINTS=OFF)";
@@ -153,16 +156,19 @@ TEST(ParallelPipeline, AllocationFailureInBodyThrowsAndWorkspaceRecovers) {
   const auto serial = core::detect_loops(trace);
 
   auto& failpoints = util::FailpointRegistry::instance();
-  for (const char* site : {"arena.alloc", "flat_map.grow"}) {
-    SCOPED_TRACE(site);
-    core::PipelineWorkspace workspace;
-    auto config = parallel_config(4, 4);
-    config.workspace = &workspace;
-    std::string error;
-    ASSERT_TRUE(failpoints.arm(site, "trip@nth:1", &error)) << error;
-    EXPECT_THROW((void)core::detect_loops(trace, config), std::bad_alloc);
-    failpoints.disarm_all();
-    expect_equal_results(serial, core::detect_loops(trace, config));
+  for (const unsigned threads : {1u, 4u}) {
+    for (const char* site : {"arena.alloc", "flat_map.grow"}) {
+      SCOPED_TRACE(std::string(site) +
+                   " num_threads=" + std::to_string(threads));
+      core::PipelineWorkspace workspace;
+      auto config = parallel_config(threads, 4);
+      config.workspace = &workspace;
+      std::string error;
+      ASSERT_TRUE(failpoints.arm(site, "trip@nth:1", &error)) << error;
+      EXPECT_THROW((void)core::detect_loops(trace, config), std::bad_alloc);
+      failpoints.disarm_all();
+      expect_equal_results(serial, core::detect_loops(trace, config));
+    }
   }
 #endif
 }
@@ -180,46 +186,72 @@ TEST(ParallelPipeline, ReplicaKeyHashMatchesMaterializedKey) {
   }
 }
 
-TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
-  util::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
-  util::ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(8,
-                        [](std::size_t i) {
-                          if (i == 5) throw std::runtime_error("shard failed");
-                        }),
-      std::runtime_error);
-  // The pool must remain usable after a failed fan-out.
-  std::atomic<int> count{0};
-  pool.parallel_for(4, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 4);
-}
-
-TEST(ThreadPool, QueueDepthGaugeRegistered) {
-  telemetry::Registry registry;
-  util::ThreadPool pool(2, &registry);
-  pool.parallel_for(16, [](std::size_t) {});
-  bool found_gauge = false;
-  bool found_tasks = false;
-  for (const auto& m : registry.snapshot()) {
-    if (m.name == "rloop_threadpool_queue_depth") found_gauge = true;
-    if (m.name == "rloop_threadpool_tasks_total") {
-      found_tasks = true;
-      EXPECT_GE(m.value, 16.0);
+// run() gives every body its own thread — body 0 the caller's — which is
+// what lets the pipeline's bodies wait for one another at a barrier.
+TEST(ThreadPool, RunGivesEveryBodyItsOwnThread) {
+  constexpr std::size_t kBodies = 4;
+  util::ThreadPool pool(kBodies - 1);
+  for (int round = 0; round < 50; ++round) {
+    std::array<std::thread::id, kBodies> ran_on{};
+    std::atomic<std::size_t> arrived{0};
+    pool.run(kBodies, [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+      // Deadlocks unless all bodies run at once.
+      arrived.fetch_add(1);
+      while (arrived.load() < kBodies) std::this_thread::yield();
+    });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    for (std::size_t i = 0; i < kBodies; ++i) {
+      for (std::size_t j = i + 1; j < kBodies; ++j) {
+        EXPECT_NE(ran_on[i], ran_on[j]) << i << " " << j;
+      }
     }
   }
-  EXPECT_TRUE(found_gauge);
-  EXPECT_TRUE(found_tasks);
+  // Fewer bodies than threads leave the spare workers idle.
+  std::atomic<int> count{0};
+  pool.run(2, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 2);
+  EXPECT_THROW(pool.run(kBodies + 1, [](std::size_t) {}),
+               std::invalid_argument);
+}
+
+TEST(ThreadPool, NoWorkersRunsTheOneBodyOnTheCaller) {
+  util::ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), 0u);
+  std::thread::id ran_on;
+  pool.run(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, RunPropagatesExceptions) {
+  util::ThreadPool pool(2);
+  for (const std::size_t failing : {0u, 2u}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.run(3,
+                          [&](std::size_t i) {
+                            ++ran;
+                            if (i == failing) {
+                              throw std::runtime_error("body failed");
+                            }
+                          }),
+                 std::runtime_error)
+        << failing;
+    EXPECT_EQ(ran.load(), 3) << failing;  // every body still ran
+  }
+  // The pool must remain usable after a failed fan-out.
+  std::atomic<int> count{0};
+  pool.run(3, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 3);
+}
+
+TEST(ThreadPool, TaskCounterCountsBodies) {
+  telemetry::Registry registry;
+  util::ThreadPool pool(2);
+  pool.set_telemetry(&registry);
+  for (int i = 0; i < 4; ++i) pool.run(3, [](std::size_t) {});
+  pool.set_telemetry(nullptr);
+  pool.run(3, [](std::size_t) {});  // detached: not counted
+  EXPECT_EQ(registry.counter("rloop_threadpool_tasks_total")->value(), 12u);
 }
 
 // The sharded path under a live registry must register per-shard latency
@@ -260,8 +292,7 @@ TEST(ParallelPipeline, PerShardTelemetryRegisteredAndHarmless) {
   EXPECT_EQ(busy_counters, 2u);
   EXPECT_EQ(idle_counters, 1u);
   // A run is exactly one fan-out, one pool task per body (4 threads): any
-  // further parallel_for shows here, even one whose body fits
-  // std::function's small buffer and so allocates nothing.
+  // further run() shows here, and a fan-out allocates nothing.
   EXPECT_EQ(pool_tasks, 4.0);
 }
 

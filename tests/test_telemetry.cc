@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -232,38 +233,54 @@ TEST(PipelineTelemetry, DetectLoopsPopulatesRegistry) {
                    static_cast<std::uint16_t>(i));
   }
 
-  Registry reg;
-  core::LoopDetectorConfig config;
-  config.registry = &reg;
-  const auto result = core::detect_loops(builder.trace(), config);
-  ASSERT_EQ(result.loops.size(), 1u);
+  // Every thread count records the same stage series.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    Registry reg;
+    core::LoopDetectorConfig config;
+    config.registry = &reg;
+    config.parallel.num_threads = threads;
+    const auto result = core::detect_loops(builder.trace(), config);
+    ASSERT_EQ(result.loops.size(), 1u);
 
-  for (const char* stage : {"parse", "detect", "validate", "merge"}) {
-    Histogram* h = reg.histogram("rloop_pipeline_stage_latency_ns",
-                                 latency_bounds_ns(), {{"stage", stage}});
-    EXPECT_EQ(h->count(), 1u) << stage;
-    EXPECT_GT(h->sum(), 0.0) << stage;
+    for (const char* stage : {"parse", "detect", "validate", "merge"}) {
+      Histogram* h = reg.histogram("rloop_pipeline_stage_latency_ns",
+                                   latency_bounds_ns(), {{"stage", stage}});
+      EXPECT_EQ(h->count(), 1u) << stage;
+      EXPECT_GT(h->sum(), 0.0) << stage;
+    }
+    // The same occupancy series, and one detect-latency series per shard
+    // (one shard at one thread, 2^shard_bits otherwise).
+    std::size_t busy = 0, idle = 0, shards = 0;
+    for (const auto& m : reg.snapshot()) {
+      if (m.name == "rloop_pipeline_stage_busy_ns_total") ++busy;
+      if (m.name == "rloop_pipeline_stage_idle_ns_total") ++idle;
+      if (m.name == "rloop_pipeline_shard_latency_ns") ++shards;
+    }
+    EXPECT_EQ(busy, 2u);  // ingest, detect
+    EXPECT_EQ(idle, 1u);  // ingest
+    EXPECT_EQ(shards, config.parallel.num_shards());
+    EXPECT_EQ(reg.counter("rloop_detector_records_total")->value(),
+              builder.size());
+    EXPECT_EQ(reg.counter("rloop_detector_replicas_matched_total")->value(),
+              6u);  // 5 in the big stream + 1 in the small one
+    EXPECT_GT(reg.counter("rloop_detector_streams_opened_total")->value(), 0u);
+    EXPECT_EQ(reg.counter("rloop_detector_streams_emitted_total")->value(), 2u);
+    EXPECT_EQ(reg.counter("rloop_validator_streams_accepted_total")->value(),
+              1u);
+    EXPECT_EQ(reg.counter("rloop_validator_streams_rejected_total",
+                          {{"reason", "too_small"}})
+                  ->value(),
+              1u);
+    EXPECT_EQ(reg.counter("rloop_merger_loops_total")->value(), 1u);
+    EXPECT_EQ(reg.histogram("rloop_detector_replica_spacing_ns",
+                            spacing_bounds_ns())
+                  ->count(),
+              6u);
+    // The second run over the same registry accumulates.
+    core::detect_loops(builder.trace(), config);
+    EXPECT_EQ(reg.counter("rloop_merger_loops_total")->value(), 2u);
   }
-  EXPECT_EQ(reg.counter("rloop_detector_records_total")->value(),
-            builder.size());
-  EXPECT_EQ(reg.counter("rloop_detector_replicas_matched_total")->value(),
-            6u);  // 5 in the big stream + 1 in the small one
-  EXPECT_GT(reg.counter("rloop_detector_streams_opened_total")->value(), 0u);
-  EXPECT_EQ(reg.counter("rloop_detector_streams_emitted_total")->value(), 2u);
-  EXPECT_EQ(reg.counter("rloop_validator_streams_accepted_total")->value(),
-            1u);
-  EXPECT_EQ(reg.counter("rloop_validator_streams_rejected_total",
-                        {{"reason", "too_small"}})
-                ->value(),
-            1u);
-  EXPECT_EQ(reg.counter("rloop_merger_loops_total")->value(), 1u);
-  EXPECT_EQ(reg.histogram("rloop_detector_replica_spacing_ns",
-                          spacing_bounds_ns())
-                ->count(),
-            6u);
-  // The second run over the same registry accumulates.
-  core::detect_loops(builder.trace(), config);
-  EXPECT_EQ(reg.counter("rloop_merger_loops_total")->value(), 2u);
 }
 
 }  // namespace

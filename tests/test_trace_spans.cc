@@ -104,18 +104,23 @@ TEST(TraceSink, ChromeTraceJsonIsValidAndComplete) {
 
 TEST(TraceSink, ConcurrentEmissionFromPoolTasks) {
   TraceSink sink;
-  constexpr std::size_t kTasks = 64;
+  constexpr std::size_t kBodies = 4;
+  constexpr std::size_t kRuns = 16;
   {
-    util::ThreadPool pool(4, nullptr, &sink);
-    pool.parallel_for(kTasks, [](std::size_t) {
-      // Nothing: the pool itself emits one "task" span per body.
-    });
+    util::ThreadPool pool(kBodies - 1);
+    for (std::size_t run = 0; run < kRuns; ++run) {
+      // Every body emits one span at once: body 0 on this thread, the
+      // others on the pool's workers.
+      pool.run(kBodies,
+               [&](std::size_t) { const ScopedSpan span(&sink, "task", "task"); });
+    }
   }
   const auto spans = sink.snapshot();
-  ASSERT_EQ(spans.size(), kTasks);
+  ASSERT_EQ(spans.size(), kBodies * kRuns);
   for (const auto& ev : spans) {
     EXPECT_STREQ(ev.name, "task");
     EXPECT_STREQ(ev.category, "task");
+    EXPECT_EQ(ev.depth, 0u);
     EXPECT_GE(ev.duration_ns, 0);
   }
   std::string error;
@@ -130,26 +135,45 @@ net::Trace& looped_trace(TraceBuilder& builder) {
   return builder.trace();
 }
 
+// Every run emits the same root and stage spans on the calling thread, at
+// every thread count; a one-thread run emits nothing else and starts no
+// thread, so every span is in the caller's lane.
 TEST(PipelineSpans, SerialRunEmitsRootAndStageSpans) {
-  TraceBuilder builder;
-  TraceSink sink;
-  core::LoopDetectorConfig config;
-  config.trace = &sink;
-  const auto result = core::detect_loops(looped_trace(builder), config);
-  EXPECT_EQ(result.loops.size(), 1u);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    TraceBuilder builder;
+    TraceSink sink;
+    core::LoopDetectorConfig config;
+    config.trace = &sink;
+    config.parallel.num_threads = threads;
+    const auto result = core::detect_loops(looped_trace(builder), config);
+    EXPECT_EQ(result.loops.size(), 1u);
 
-  const auto spans = sink.snapshot();
-  EXPECT_EQ(count_named(spans, "detect_loops"), 1u);
-  for (const char* stage : {"parse", "detect", "validate", "merge"}) {
-    EXPECT_EQ(count_named(spans, stage), 1u) << stage;
-  }
-  // Stages nest inside the root span.
-  for (const auto& ev : spans) {
-    if (std::string(ev.name) == "detect_loops") {
-      EXPECT_EQ(ev.depth, 0u);
-    } else {
-      EXPECT_EQ(ev.depth, 1u) << ev.name;
+    const auto spans = sink.snapshot();
+    ASSERT_EQ(count_named(spans, "detect_loops"), 1u);
+    for (const char* stage : {"parse", "detect", "validate", "merge"}) {
+      EXPECT_EQ(count_named(spans, stage), 1u) << stage;
     }
+    const SpanEvent* root = nullptr;
+    for (const auto& ev : spans) {
+      if (std::string(ev.name) == "detect_loops") root = &ev;
+    }
+    // Stages nest inside the root span; the workers' per-body spans are
+    // top level in their own lanes.
+    std::size_t caller_spans = 0;
+    for (const auto& ev : spans) {
+      if (threads == 1) {
+        EXPECT_EQ(ev.tid, root->tid) << ev.name;
+      }
+      if (ev.tid != root->tid) continue;
+      ++caller_spans;
+      if (std::string(ev.name) == "detect_loops") {
+        EXPECT_EQ(ev.depth, 0u);
+      } else {
+        EXPECT_EQ(ev.depth, 1u) << ev.name;
+      }
+    }
+    EXPECT_EQ(caller_spans, 5u);
   }
 }
 
@@ -165,10 +189,12 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
 
   const auto spans = sink.snapshot();
   ASSERT_EQ(count_named(spans, "detect_loops"), 1u);
-  EXPECT_EQ(count_named(spans, "detect_shard"), 4u);
-  EXPECT_EQ(count_named(spans, "parse_chunk"), 4u);  // one per pool body
-  EXPECT_EQ(count_named(spans, "mark_shards"), 4u);  // one per owning body
-  EXPECT_GE(count_named(spans, "detect_chunk"), 1u);
+  // Bodies 1..3 run on pool workers; body 0 runs on the calling thread,
+  // where the parse and detect stage spans stand for its per-body spans.
+  EXPECT_EQ(count_named(spans, "detect_shard"), 3u);  // shards 1..3
+  EXPECT_EQ(count_named(spans, "parse_chunk"), 3u);   // one per worker body
+  EXPECT_EQ(count_named(spans, "mark_shards"), 3u);   // one per owning body
+  EXPECT_EQ(count_named(spans, "detect_chunk"), 3u);
   // Validate and merge run once, on the calling thread, through the tail
   // the serial path runs: no per-shard task spans.
   EXPECT_EQ(count_named(spans, "validate_shard"), 0u);
@@ -184,6 +210,7 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
     // Worker-side spans are top level on their own threads (depth 0).
     if (name == "detect_shard") {
       EXPECT_EQ(ev.depth, 0u);
+      EXPECT_NE(ev.tid, root->tid);
     }
     // The validate and merge stages nest directly under the root span.
     if (name == "validate" || name == "merge") {
