@@ -41,10 +41,10 @@ struct LoopDetectorConfig {
   // nothing is allocated for telemetry.
   telemetry::Registry* registry = nullptr;
   // Optional span sink: a root "detect_loops" span, one span per stage
-  // (parse/detect/validate/merge) on the calling thread, and the per-body
-  // spans (parse_chunk/mark_shards/detect_chunk/detect_shard) of bodies
-  // 1..num_threads-1 in their workers' lanes, exportable as Chrome
-  // trace-event JSON (TraceSink::chrome_trace_json).
+  // (parse/detect/validate/merge) on the calling thread, and, when
+  // num_threads > 1, every body's per-body spans (parse_chunk/mark_shards/
+  // detect_chunk/detect_shard; body 0's nest in the caller's stage spans),
+  // exportable as Chrome trace-event JSON (TraceSink::chrome_trace_json).
   // Null costs one predictable branch per would-be span.
   telemetry::TraceSink* trace = nullptr;
   // Optional decision journal: every stage records its per-stream /

@@ -154,6 +154,12 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
 
   LoopDetectionResult result;
   const telemetry::ScopedSpan root_span(config.trace, "detect_loops");
+  telemetry::Histogram* parse_hist = stage_histogram(reg, "parse");
+  telemetry::Histogram* detect_hist = stage_histogram(reg, "detect");
+  // Body 0's parse and detect stages, on the caller. Parse covers the
+  // workspace prep, the fan-out and the wait at the barrier.
+  StageScope stage;
+  stage.enter(parse_hist, config.trace, "parse");
 
   // --- Workspace prep (all capacity-reusing once warm). -------------------
   ws.store.prepare(trace);
@@ -186,8 +192,6 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
                                       (num_shards - 1));
   };
 
-  telemetry::Histogram* parse_hist = stage_histogram(reg, "parse");
-  telemetry::Histogram* detect_hist = stage_histogram(reg, "detect");
   // Stage-occupancy counters. Ingest busy is parsing, ingest idle the wait
   // at the barrier; detect busy is marking, feeding and finishing, which
   // never waits. Each body flushes its own totals once.
@@ -205,13 +209,14 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
   std::atomic<bool> abort{false};
   std::atomic<unsigned> parsed{0};
   std::atomic<std::uint64_t> parse_failures{0};
-  StageScope stage;  // body 0's parse and detect stages, on the caller
 
   // One body; all num_bodies of them run this. Returns early on abort.
-  // Body 0 runs on the calling thread inside the stage spans, which stand
-  // for its parse_chunk / mark_shards / detect_chunk / detect_shard spans.
+  // Body 0 runs on the calling thread, its spans nested in the stage
+  // spans. A one-body run emits no per-body spans: they would only repeat
+  // the stage spans.
+  telemetry::TraceSink* const body_trace =
+      num_bodies == 1 ? nullptr : config.trace;
   const auto run_body = [&](unsigned t) {
-    telemetry::TraceSink* const body_trace = t == 0 ? nullptr : config.trace;
     // Fill one contiguous range of store rows, bucketing each parsed row
     // by the body that owns its shard, then wait for every other body. A
     // shard's RepeatMark needs every key hash of the trace before its first
@@ -296,8 +301,7 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
   // barrier never waits on a body that cannot start. A body that throws
   // flips `abort` first, which releases the barrier, so the fan-out always
   // joins and run() rethrows the error after the join.
-  stage.enter(parse_hist, config.trace, "parse");
-  ws.pool->run(num_bodies, [&](std::size_t t) {
+  ws.pool->run([&](std::size_t t) {
     try {
       run_body(static_cast<unsigned>(t));
     } catch (...) {

@@ -44,10 +44,12 @@
 // full raw-stream set, and they query only the /24s of the few streams
 // step 1 emits, so a fan-out would cost more than it saves.
 //
-// Stages: the root span "detect_loops", then "parse" (from the fan-out to
-// the barrier, as body 0 sees it), "detect" (from the barrier to the merged
-// raw streams), "validate" and "merge", each also a
-// rloop_pipeline_stage_latency_ns{stage} sample — the same at every T.
+// Stages: the root span "detect_loops", then "parse" (from the workspace
+// prep through the fan-out to the barrier, as body 0 sees it), "detect"
+// (from the barrier to the merged raw streams), "validate" and "merge",
+// each also a rloop_pipeline_stage_latency_ns{stage} sample — the same at
+// every T. At T > 1 every body also emits its per-body spans; body 0's
+// nest in the caller's parse and detect spans.
 //
 // PipelineWorkspace owns everything reusable across runs: the thread pool,
 // the SoA store, the shard-owner table, the T x T record buckets, and one

@@ -1,7 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <stdexcept>
-
 namespace rloop::util {
 
 ThreadPool::ThreadPool(std::size_t num_workers) {
@@ -36,7 +34,6 @@ void ThreadPool::worker_loop(std::size_t w) {
       start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
-      if (w + 1 >= bodies_) continue;  // this fan-out needs fewer workers
       body = body_;
     }
     std::exception_ptr error;
@@ -51,17 +48,12 @@ void ThreadPool::worker_loop(std::size_t w) {
   }
 }
 
-void ThreadPool::run(std::size_t n,
-                     const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (n > workers_.size() + 1) {
-    throw std::invalid_argument("ThreadPool::run: more bodies than threads");
-  }
+void ThreadPool::run(const std::function<void(std::size_t)>& body) {
+  const std::size_t n = workers_.size() + 1;
   if (n > 1) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       body_ = &body;
-      bodies_ = n;
       pending_ = n - 1;
       error_ = nullptr;
       ++generation_;

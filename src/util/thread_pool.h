@@ -25,8 +25,8 @@ namespace rloop::util {
 
 class ThreadPool {
  public:
-  // Spawns exactly `num_workers` threads (0 is valid: run(1, ...) then
-  // runs on the caller alone).
+  // Spawns exactly `num_workers` threads (0 is valid: run() then runs its
+  // one body on the caller alone).
   explicit ThreadPool(std::size_t num_workers);
   ~ThreadPool();
 
@@ -42,12 +42,12 @@ class ThreadPool {
   // after, so the pool never holds a pointer that outlives the registry.
   void set_telemetry(telemetry::Registry* registry);
 
-  // Runs body(0) on the calling thread and body(i), 1 <= i < n, on worker
-  // i - 1, and blocks until every body has returned; n <= size() + 1. No
-  // two bodies share a thread, so bodies may wait for one another. The
-  // first exception a body throws is rethrown here once all have returned.
+  // Runs size() + 1 bodies: body(0) on the calling thread and body(w + 1)
+  // on worker w, and blocks until every body has returned. No two bodies
+  // share a thread, so bodies may wait for one another. The first
+  // exception a body throws is rethrown here once all have returned.
   // Allocates nothing.
-  void run(std::size_t n, const std::function<void(std::size_t)>& body);
+  void run(const std::function<void(std::size_t)>& body);
 
  private:
   void worker_loop(std::size_t w);
@@ -57,7 +57,6 @@ class ThreadPool {
   std::condition_variable done_cv_;
   // The fan-out in flight, published under mu_ with a new generation.
   const std::function<void(std::size_t)>* body_ = nullptr;
-  std::size_t bodies_ = 0;
   std::uint64_t generation_ = 0;
   std::size_t pending_ = 0;  // worker bodies not yet returned
   std::exception_ptr error_;

@@ -194,7 +194,7 @@ TEST(ThreadPool, RunGivesEveryBodyItsOwnThread) {
   for (int round = 0; round < 50; ++round) {
     std::array<std::thread::id, kBodies> ran_on{};
     std::atomic<std::size_t> arrived{0};
-    pool.run(kBodies, [&](std::size_t i) {
+    pool.run([&](std::size_t i) {
       ran_on[i] = std::this_thread::get_id();
       // Deadlocks unless all bodies run at once.
       arrived.fetch_add(1);
@@ -207,19 +207,13 @@ TEST(ThreadPool, RunGivesEveryBodyItsOwnThread) {
       }
     }
   }
-  // Fewer bodies than threads leave the spare workers idle.
-  std::atomic<int> count{0};
-  pool.run(2, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 2);
-  EXPECT_THROW(pool.run(kBodies + 1, [](std::size_t) {}),
-               std::invalid_argument);
 }
 
 TEST(ThreadPool, NoWorkersRunsTheOneBodyOnTheCaller) {
   util::ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 0u);
   std::thread::id ran_on;
-  pool.run(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  pool.run([&](std::size_t) { ran_on = std::this_thread::get_id(); });
   EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
@@ -227,20 +221,17 @@ TEST(ThreadPool, RunPropagatesExceptions) {
   util::ThreadPool pool(2);
   for (const std::size_t failing : {0u, 2u}) {
     std::atomic<int> ran{0};
-    EXPECT_THROW(pool.run(3,
-                          [&](std::size_t i) {
-                            ++ran;
-                            if (i == failing) {
-                              throw std::runtime_error("body failed");
-                            }
-                          }),
+    EXPECT_THROW(pool.run([&](std::size_t i) {
+                   ++ran;
+                   if (i == failing) throw std::runtime_error("body failed");
+                 }),
                  std::runtime_error)
         << failing;
     EXPECT_EQ(ran.load(), 3) << failing;  // every body still ran
   }
   // The pool must remain usable after a failed fan-out.
   std::atomic<int> count{0};
-  pool.run(3, [&](std::size_t) { ++count; });
+  pool.run([&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 3);
 }
 
@@ -248,9 +239,9 @@ TEST(ThreadPool, TaskCounterCountsBodies) {
   telemetry::Registry registry;
   util::ThreadPool pool(2);
   pool.set_telemetry(&registry);
-  for (int i = 0; i < 4; ++i) pool.run(3, [](std::size_t) {});
+  for (int i = 0; i < 4; ++i) pool.run([](std::size_t) {});
   pool.set_telemetry(nullptr);
-  pool.run(3, [](std::size_t) {});  // detached: not counted
+  pool.run([](std::size_t) {});  // detached: not counted
   EXPECT_EQ(registry.counter("rloop_threadpool_tasks_total")->value(), 12u);
 }
 

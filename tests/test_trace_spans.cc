@@ -111,8 +111,7 @@ TEST(TraceSink, ConcurrentEmissionFromPoolTasks) {
     for (std::size_t run = 0; run < kRuns; ++run) {
       // Every body emits one span at once: body 0 on this thread, the
       // others on the pool's workers.
-      pool.run(kBodies,
-               [&](std::size_t) { const ScopedSpan span(&sink, "task", "task"); });
+      pool.run([&](std::size_t) { const ScopedSpan span(&sink, "task", "task"); });
     }
   }
   const auto spans = sink.snapshot();
@@ -137,7 +136,8 @@ net::Trace& looped_trace(TraceBuilder& builder) {
 
 // Every run emits the same root and stage spans on the calling thread, at
 // every thread count; a one-thread run emits nothing else and starts no
-// thread, so every span is in the caller's lane.
+// thread, so every span is in the caller's lane. At four threads body 0's
+// per-body spans nest in the caller's stage spans.
 TEST(PipelineSpans, SerialRunEmitsRootAndStageSpans) {
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
@@ -158,8 +158,8 @@ TEST(PipelineSpans, SerialRunEmitsRootAndStageSpans) {
     for (const auto& ev : spans) {
       if (std::string(ev.name) == "detect_loops") root = &ev;
     }
-    // Stages nest inside the root span; the workers' per-body spans are
-    // top level in their own lanes.
+    // Stages nest inside the root span and body 0's spans inside the
+    // stages; the workers' per-body spans are top level in their own lanes.
     std::size_t caller_spans = 0;
     for (const auto& ev : spans) {
       if (threads == 1) {
@@ -167,13 +167,19 @@ TEST(PipelineSpans, SerialRunEmitsRootAndStageSpans) {
       }
       if (ev.tid != root->tid) continue;
       ++caller_spans;
-      if (std::string(ev.name) == "detect_loops") {
+      const std::string name = ev.name;
+      if (name == "detect_loops") {
         EXPECT_EQ(ev.depth, 0u);
+      } else if (name == "parse" || name == "detect" || name == "validate" ||
+                 name == "merge") {
+        EXPECT_EQ(ev.depth, 1u) << name;
       } else {
-        EXPECT_EQ(ev.depth, 1u) << ev.name;
+        EXPECT_EQ(ev.depth, 2u) << name;
       }
     }
-    EXPECT_EQ(caller_spans, 5u);
+    // Root + 4 stages; at four threads body 0 adds parse_chunk, mark_shards,
+    // detect_chunk and one detect_shard per owned shard (0, 4, 8, 12 of 16).
+    EXPECT_EQ(caller_spans, threads == 1 ? 5u : 12u);
   }
 }
 
@@ -189,12 +195,10 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
 
   const auto spans = sink.snapshot();
   ASSERT_EQ(count_named(spans, "detect_loops"), 1u);
-  // Bodies 1..3 run on pool workers; body 0 runs on the calling thread,
-  // where the parse and detect stage spans stand for its per-body spans.
-  EXPECT_EQ(count_named(spans, "detect_shard"), 3u);  // shards 1..3
-  EXPECT_EQ(count_named(spans, "parse_chunk"), 3u);   // one per worker body
-  EXPECT_EQ(count_named(spans, "mark_shards"), 3u);   // one per owning body
-  EXPECT_EQ(count_named(spans, "detect_chunk"), 3u);
+  EXPECT_EQ(count_named(spans, "detect_shard"), 4u);
+  EXPECT_EQ(count_named(spans, "parse_chunk"), 4u);  // one per body
+  EXPECT_EQ(count_named(spans, "mark_shards"), 4u);  // one per owning body
+  EXPECT_EQ(count_named(spans, "detect_chunk"), 4u);
   // Validate and merge run once, on the calling thread, through the tail
   // the serial path runs: no per-shard task spans.
   EXPECT_EQ(count_named(spans, "validate_shard"), 0u);
@@ -207,10 +211,10 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
   }
   for (const auto& ev : spans) {
     const std::string name = ev.name;
-    // Worker-side spans are top level on their own threads (depth 0).
+    // Worker-side spans are top level on their own threads (depth 0);
+    // body 0 runs on the calling thread, inside the detect stage span.
     if (name == "detect_shard") {
-      EXPECT_EQ(ev.depth, 0u);
-      EXPECT_NE(ev.tid, root->tid);
+      EXPECT_EQ(ev.depth, ev.tid == root->tid ? 2u : 0u);
     }
     // The validate and merge stages nest directly under the root span.
     if (name == "validate" || name == "merge") {
