@@ -23,7 +23,7 @@ struct LoopDetectorConfig {
   ValidatorConfig validator;
   MergerConfig merger;
   // Step 1's fan-out (core/pipeline.h): num_threads identical bodies, one
-  // thread each (body 0 on the calling thread, so the default of 1 starts
+  // thread each (the default of 1 runs on the calling thread and starts
   // none), parse a slice each, then detect the shards they own (sharded by
   // replica-key hash); validate and merge then run once on the calling
   // thread. Results are field-identical for every thread/shard count —
@@ -43,7 +43,7 @@ struct LoopDetectorConfig {
   // Optional span sink: a root "detect_loops" span, one span per stage
   // (parse/detect/validate/merge) on the calling thread, and, when
   // num_threads > 1, every body's per-body spans (parse_chunk/mark_shards/
-  // detect_chunk/detect_shard; body 0's nest in the caller's stage spans),
+  // detect_chunk/detect_shard, in the pool workers' lanes),
   // exportable as Chrome trace-event JSON (TraceSink::chrome_trace_json).
   // Null costs one predictable branch per would-be span.
   telemetry::TraceSink* trace = nullptr;

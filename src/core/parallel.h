@@ -19,8 +19,8 @@
 namespace rloop::core {
 
 struct ParallelConfig {
-  // Pipeline bodies, one thread each; body 0 runs on the calling thread,
-  // so 0 or 1 starts no thread.
+  // Pipeline bodies, one thread each: 0 or 1 runs the one body on the
+  // calling thread and starts no thread; more run on pool workers.
   unsigned num_threads = 1;
   // log2 of the shard count. Ownership is static — shard s belongs to body
   // s % num_threads — so shards beyond the thread count buy only a finer

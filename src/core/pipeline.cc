@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -79,9 +80,9 @@ class ScopedPoolTelemetry {
 };
 
 // One stage's latency sample and span, opened and closed at run-time
-// points rather than at scope edges: body 0 ends the parse stage and
-// starts the detect stage at the barrier, inside the fan-out, and the
-// caller ends the detect stage after the join.
+// points rather than at scope edges: the caller ends the parse stage and
+// starts the detect stage at the barrier, inside the fan-out, and ends the
+// detect stage after the join.
 class StageScope {
  public:
   void enter(telemetry::Histogram* histogram, telemetry::TraceSink* trace,
@@ -109,8 +110,9 @@ struct alignas(64) Bucket {
 }  // namespace
 
 struct PipelineWorkspace::Impl {
-  // num_threads - 1 workers; rebuilt only when the thread count changes.
-  // It holds no telemetry between calls (see ScopedPoolTelemetry).
+  // No worker at one thread, num_threads workers above; rebuilt only when
+  // the thread count changes. It holds no telemetry between calls (see
+  // ScopedPoolTelemetry).
   std::unique_ptr<util::ThreadPool> pool;
 
   RecordStore store;
@@ -146,9 +148,12 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
   const unsigned num_shards = config.parallel.num_shards();
   const std::size_t n = trace.size();
 
-  if (!ws.pool || ws.pool->size() != num_bodies - 1) {
+  // One body runs on the caller and starts no thread; more run on workers
+  // of their own while the caller sleeps (pipeline.h says why).
+  const std::size_t num_workers = num_bodies == 1 ? 0 : num_bodies;
+  if (!ws.pool || ws.pool->size() != num_workers) {
     ws.pool.reset();
-    ws.pool = std::make_unique<util::ThreadPool>(num_bodies - 1);
+    ws.pool = std::make_unique<util::ThreadPool>(num_workers);
   }
   const ScopedPoolTelemetry pool_telemetry(*ws.pool, reg);
 
@@ -156,8 +161,8 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
   const telemetry::ScopedSpan root_span(config.trace, "detect_loops");
   telemetry::Histogram* parse_hist = stage_histogram(reg, "parse");
   telemetry::Histogram* detect_hist = stage_histogram(reg, "detect");
-  // Body 0's parse and detect stages, on the caller. Parse covers the
-  // workspace prep, the fan-out and the wait at the barrier.
+  // The parse and detect stages, on the caller. Parse covers the workspace
+  // prep, the fan-out and the wait at the barrier.
   StageScope stage;
   stage.enter(parse_hist, config.trace, "parse");
 
@@ -206,16 +211,24 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
       "Nanoseconds a pipeline stage spent doing work");
   const bool timed = ingest_busy != nullptr;
 
+  // Bodies that reached the barrier. A body that throws flips `abort` and
+  // counts itself in, so the barrier always opens; the bodies past it see
+  // the flag and return.
   std::atomic<bool> abort{false};
   std::atomic<unsigned> parsed{0};
   std::atomic<std::uint64_t> parse_failures{0};
+  const auto arrive = [&] {
+    if (parsed.fetch_add(1, std::memory_order_acq_rel) + 1 == num_bodies) {
+      parsed.notify_all();  // wakes the caller of a multi-body run
+    }
+  };
 
-  // One body; all num_bodies of them run this. Returns early on abort.
-  // Body 0 runs on the calling thread, its spans nested in the stage
-  // spans. A one-body run emits no per-body spans: they would only repeat
-  // the stage spans.
+  // One body; all num_bodies of them run this. Returns early on abort. A
+  // one-body run's body is the caller, so it starts the detect stage and
+  // emits no per-body spans: they would only repeat the stage spans.
+  const bool body_on_caller = num_workers == 0;
   telemetry::TraceSink* const body_trace =
-      num_bodies == 1 ? nullptr : config.trace;
+      body_on_caller ? nullptr : config.trace;
   const auto run_body = [&](unsigned t) {
     // Fill one contiguous range of store rows, bucketing each parsed row
     // by the body that owns its shard, then wait for every other body. A
@@ -249,13 +262,13 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
       }
       parse_failures.fetch_add(failures, std::memory_order_relaxed);
     }
-    parsed.fetch_add(1, std::memory_order_acq_rel);
+    arrive();
     const std::int64_t t1 = timed ? now_ns() : 0;
     while (parsed.load(std::memory_order_acquire) < num_bodies) {
-      if (abort.load(std::memory_order_acquire)) return;
       std::this_thread::yield();
     }
-    if (t == 0) stage.enter(detect_hist, config.trace, "detect");
+    if (abort.load(std::memory_order_acquire)) return;
+    if (body_on_caller) stage.enter(detect_hist, config.trace, "detect");
     const std::int64_t t2 = timed ? now_ns() : 0;
     telemetry::inc(ingest_busy, static_cast<std::uint64_t>(t1 - t0));
     telemetry::inc(ingest_idle, static_cast<std::uint64_t>(t2 - t1));
@@ -297,18 +310,32 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
     telemetry::inc(detect_busy, static_cast<std::uint64_t>(t3 - t2));
   };
 
-  // run() gives every body its own thread, body 0 the calling one, so the
-  // barrier never waits on a body that cannot start. A body that throws
-  // flips `abort` first, which releases the barrier, so the fan-out always
-  // joins and run() rethrows the error after the join.
-  ws.pool->run([&](std::size_t t) {
+  // run() gives every pool index its own thread, index 0 the calling one,
+  // so the barrier never waits on a body that cannot start. With workers,
+  // index 0 is the caller's stage keeping and body t runs at index t + 1.
+  // A body that throws releases the barrier (see `arrive`), so the fan-out
+  // always joins and run() rethrows the error after the join.
+  const unsigned first_body = body_on_caller ? 0 : 1;
+  const auto run_index = [&](std::size_t i) {
+    if (i < first_body) {
+      for (unsigned seen = parsed.load(std::memory_order_acquire);
+           seen < num_bodies; seen = parsed.load(std::memory_order_acquire)) {
+        parsed.wait(seen, std::memory_order_acquire);
+      }
+      stage.enter(detect_hist, config.trace, "detect");
+      return;
+    }
     try {
-      run_body(static_cast<unsigned>(t));
+      run_body(static_cast<unsigned>(i - first_body));
     } catch (...) {
       abort.store(true, std::memory_order_release);
+      arrive();
       throw;
     }
-  });
+  };
+  // By reference: std::function keeps a reference_wrapper in its small
+  // buffer, so the fan-out allocates nothing.
+  ws.pool->run(std::ref(run_index));
   result.parse_failures = parse_failures.load(std::memory_order_relaxed);
 
   // --- Merge the per-shard outputs into the canonical stream order. -------

@@ -4,9 +4,13 @@
 // rloop_pipeline_shard_latency_ns and rloop_pipeline_parse_failures_total
 // families it records.
 //
-// Step 1 runs as one fan-out of T identical bodies with a single barrier;
-// body 0 runs on the calling thread and bodies 1..T-1 on T - 1 pool
-// workers, so a one-thread run starts no thread. Body t:
+// Step 1 runs as one fan-out of T identical bodies with a single barrier.
+// A one-thread run runs its body on the calling thread and starts no
+// thread. Above one thread the bodies run on T pool workers, one each, and
+// the caller only opens and closes the stage spans, asleep in between: a
+// caller that ran a body too never slept, so the scheduler kept it on one
+// core across back-to-back calls, and every single-threaded run on that
+// thread took that one core's speed. Body t:
 //
 //   1. fills (RecordStore::fill_row) the store rows of the contiguous range
 //      [t*n/T, (t+1)*n/T), counting parse failures, and appends each parsed
@@ -45,11 +49,11 @@
 // step 1 emits, so a fan-out would cost more than it saves.
 //
 // Stages: the root span "detect_loops", then "parse" (from the workspace
-// prep through the fan-out to the barrier, as body 0 sees it), "detect"
-// (from the barrier to the merged raw streams), "validate" and "merge",
-// each also a rloop_pipeline_stage_latency_ns{stage} sample — the same at
-// every T. At T > 1 every body also emits its per-body spans; body 0's
-// nest in the caller's parse and detect spans.
+// prep through the fan-out to the barrier, as the caller sees it),
+// "detect" (from the barrier to the merged raw streams), "validate" and
+// "merge", each also a rloop_pipeline_stage_latency_ns{stage} sample, all
+// on the calling thread — the same at every T. At T > 1 every body also
+// emits its per-body spans, top level in its worker's lane.
 //
 // PipelineWorkspace owns everything reusable across runs: the thread pool,
 // the SoA store, the shard-owner table, the T x T record buckets, and one

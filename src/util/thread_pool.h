@@ -2,12 +2,13 @@
 //
 // The pipeline runs T bodies that meet at one barrier, so each body needs a
 // thread of its own: a thread that ran two bodies would wait at the barrier
-// for itself. run() gives that by construction — body 0 runs on the calling
-// thread and body w + 1 on worker w — so a one-body run starts no thread and
-// a T-body run needs T - 1 workers. Determinism note: the pool never
-// influences *what* the pipeline computes — bodies partition work by stable
-// hashes and the caller merges their results with total-order sorts — it
-// only influences *when* each body runs.
+// for itself. run() gives that by construction — index 0 runs on the
+// calling thread and index w + 1 on worker w — so a one-body run starts no
+// thread, and a T-body run gives its bodies T workers while the caller
+// waits at index 0 (core/pipeline.h says why). Determinism note: the pool
+// never influences *what* the pipeline computes — bodies partition work by
+// stable hashes and the caller merges their results with total-order
+// sorts — it only influences *when* each body runs.
 #pragma once
 
 #include <condition_variable>

@@ -282,9 +282,10 @@ TEST(ParallelPipeline, PerShardTelemetryRegisteredAndHarmless) {
   // (the barrier wait); the detect phase never waits.
   EXPECT_EQ(busy_counters, 2u);
   EXPECT_EQ(idle_counters, 1u);
-  // A run is exactly one fan-out, one pool task per body (4 threads): any
-  // further run() shows here, and a fan-out allocates nothing.
-  EXPECT_EQ(pool_tasks, 4.0);
+  // A run is exactly one fan-out: one pool task per body (4 threads) plus
+  // the caller's, which keeps the stage spans. Any further run() shows
+  // here, and a fan-out allocates nothing.
+  EXPECT_EQ(pool_tasks, 5.0);
 }
 
 // A workspace kept across calls must not carry one call's telemetry into

@@ -136,8 +136,8 @@ net::Trace& looped_trace(TraceBuilder& builder) {
 
 // Every run emits the same root and stage spans on the calling thread, at
 // every thread count; a one-thread run emits nothing else and starts no
-// thread, so every span is in the caller's lane. At four threads body 0's
-// per-body spans nest in the caller's stage spans.
+// thread, so every span is in the caller's lane. At four threads every body
+// runs on a worker, its per-body spans top level in the worker's lane.
 TEST(PipelineSpans, SerialRunEmitsRootAndStageSpans) {
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
@@ -158,28 +158,23 @@ TEST(PipelineSpans, SerialRunEmitsRootAndStageSpans) {
     for (const auto& ev : spans) {
       if (std::string(ev.name) == "detect_loops") root = &ev;
     }
-    // Stages nest inside the root span and body 0's spans inside the
-    // stages; the workers' per-body spans are top level in their own lanes.
+    // Stages nest inside the root span; the per-body spans are top level
+    // in their workers' lanes.
     std::size_t caller_spans = 0;
     for (const auto& ev : spans) {
       if (threads == 1) {
         EXPECT_EQ(ev.tid, root->tid) << ev.name;
       }
-      if (ev.tid != root->tid) continue;
-      ++caller_spans;
-      const std::string name = ev.name;
-      if (name == "detect_loops") {
-        EXPECT_EQ(ev.depth, 0u);
-      } else if (name == "parse" || name == "detect" || name == "validate" ||
-                 name == "merge") {
-        EXPECT_EQ(ev.depth, 1u) << name;
-      } else {
-        EXPECT_EQ(ev.depth, 2u) << name;
+      if (ev.tid != root->tid) {
+        EXPECT_EQ(ev.depth, 0u) << ev.name;
+        continue;
       }
+      ++caller_spans;
+      EXPECT_EQ(ev.depth, ev.name == std::string("detect_loops") ? 0u : 1u)
+          << ev.name;
     }
-    // Root + 4 stages; at four threads body 0 adds parse_chunk, mark_shards,
-    // detect_chunk and one detect_shard per owned shard (0, 4, 8, 12 of 16).
-    EXPECT_EQ(caller_spans, threads == 1 ? 5u : 12u);
+    // Root + 4 stages, at every thread count.
+    EXPECT_EQ(caller_spans, 5u);
   }
 }
 
@@ -211,10 +206,10 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
   }
   for (const auto& ev : spans) {
     const std::string name = ev.name;
-    // Worker-side spans are top level on their own threads (depth 0);
-    // body 0 runs on the calling thread, inside the detect stage span.
+    // Worker-side spans are top level on their own threads (depth 0).
     if (name == "detect_shard") {
-      EXPECT_EQ(ev.depth, ev.tid == root->tid ? 2u : 0u);
+      EXPECT_EQ(ev.depth, 0u);
+      EXPECT_NE(ev.tid, root->tid);
     }
     // The validate and merge stages nest directly under the root span.
     if (name == "validate" || name == "merge") {
